@@ -347,7 +347,10 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
 
     chosen_t = None
     if metric is None and t_value == "cv":
-        cv = cross_validate_t(train, policy, cfg, k, seed, constraint_count=resolved_count)
+        cv = cross_validate_t(
+            train, policy, cfg, k, seed, constraint_count=resolved_count,
+            standardize=standardize,
+        )
         cfg = replace(cfg, t=cv.chosen_t)
         chosen_t = cv.chosen_t
         click.echo(f"cross-validation chose t={cv.chosen_t:.4g}")
@@ -366,8 +369,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
         t_mode = "cv" if t_value == "cv" else f"{cfg.t}"
     record = RunRecord(
         run=0, fold=0, error_rate=outcome.error_rate, chosen_t=chosen_t,
-        learn_time=outcome.learn_time,
-        total_time=outcome.learn_time + outcome.classify_time,
+        learn_time=outcome.learn_time, total_time=total_time,
         n_train=train.n_points, n_test=test.n_points,
     )
     report = EvalReport(
@@ -386,7 +388,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
         mean_error=outcome.error_rate,
         std_error=0.0,
         mean_learn_time=outcome.learn_time,
-        mean_total_time=record.total_time,
+        mean_total_time=total_time,
         label_names=tuple(source.label_names) if source.label_names else None,
     )
 

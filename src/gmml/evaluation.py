@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import LabeledDataset
-from .exceptions import DimensionMismatch, GmmlError, SingularScatter
+from .exceptions import DimensionMismatch, GmmlError, NotPositiveDefinite, SingularScatter
 from .learn import (
     GmmlConfig,
     LearnedMetric,
@@ -25,6 +25,7 @@ from .learn import (
     scatter_matrices,
     solve_regularized,
 )
+from .spd import cholesky
 
 DEFAULT_K = 5
 DEFAULT_COARSE_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -256,8 +257,91 @@ def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
     return int(candidates[best[0]])
 
 
+# A block of queries gets about this many query x train distances at once,
+# which caps the classifier's temporary memory whatever the test set size.
+_BLOCK_ELEMENTS = 2**14
+# numpy's einsum sums a two-feature row in another order when it is given
+# fewer than three rows, so recomputing at least three candidates keeps every
+# recomputed distance bit-identical to the one _distances_to_all gives on all
+# of train (tests/test_evaluation.py has an exact tie that this decides).
+_MIN_CANDIDATES = 3
+
+
+def _knn_labels(
+    train_pts: np.ndarray, train_labels: np.ndarray, a: np.ndarray,
+    queries: np.ndarray, k: int,
+) -> np.ndarray:
+    """k-NN labels of the rows of ``queries``, each decided exactly as
+    ``_vote(_distances_to_all(a, train_pts, q), train_labels, k)`` would.
+
+    Train and queries are embedded once by the Cholesky factor A = L L^T,
+    so that d_A(x, y) = ||xL||^2 + ||yL||^2 - 2 (xL).(yL), one GEMM per
+    block of queries. That Gram distance g differs from the exact distance
+    e of ``_distances_to_all`` by at most
+
+        delta = (d + 3)^2 * eps * tr(A) * (||x||^2 + max_y ||y||^2),
+
+    a first-order bound on the rounding of the Cholesky factor, the
+    embedding, the dot products and the einsum, with tr(A) >= ||A||_2 and
+    the norms taken before embedding (an ill-conditioned L can shrink the
+    embedded norms far below the error of embedding). Every point whose
+    exact distance is at most the row's k-th exact distance then has a Gram
+    distance at most 2 delta above the row's k-th Gram distance, or above
+    its _MIN_CANDIDATES-th when k is smaller. Those candidates get their
+    exact distances back, and ``_vote`` on them sees the same voters as on
+    all of train: duplicates, ties at the k-th distance and vote ties are
+    decided the same way.
+
+    Raises NotPositiveDefinite when ``a`` is not symmetric or has no
+    Cholesky factor.
+    """
+    n, d = train_pts.shape
+    if k > n:
+        warnings.warn(f"k={k} exceeds {n} training points; clamping to {n}")
+        k = n
+    if not np.array_equal(a, a.T):
+        raise NotPositiveDefinite("metric is not symmetric")
+    low = cholesky(a)
+    train_emb = train_pts @ low
+    train_sq = np.einsum("ij,ij->i", train_emb, train_emb)
+    max_raw = np.einsum("ij,ij->i", train_pts, train_pts).max()
+    # 2 delta per unit of squared row norm
+    scale = 2.0 * (d + 3) ** 2 * np.finfo(float).eps * np.trace(a)
+    pick = min(n, max(k, _MIN_CANDIDATES)) - 1
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    predicted = np.empty(queries.shape[0], dtype=np.int64)
+    for start in range(0, queries.shape[0], rows):
+        block = queries[start:start + rows]
+        emb = block @ low
+        # in place: one block-sized temporary besides the partition copy
+        gram = emb @ train_emb.T
+        gram *= -2.0
+        gram += train_sq
+        gram += np.einsum("ij,ij->i", emb, emb)[:, None]
+        kth = np.partition(gram, pick, axis=1)[:, pick]
+        slack = scale * (np.einsum("ij,ij->i", block, block) + max_raw)
+        # written as "not above" so that a Gram distance that overflowed to
+        # nan makes its point a candidate, measured exactly like the rest
+        near = ~(gram > (kth + slack)[:, None])
+        for i, row in enumerate(block):
+            cand = np.flatnonzero(near[i])
+            dists = _distances_to_all(a, train_pts[cand], row)
+            predicted[start + i] = _vote(dists, train_labels[cand], k)
+    return predicted
+
+
 def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int:
-    """k-NN label of a query point under a Mahalanobis metric."""
+    """k-NN label of a query point under a Mahalanobis metric.
+
+    Every training point tied at the k-th smallest distance votes. A vote
+    tie goes to the class whose voters have the smaller mean distance, then
+    to the smaller class index. When k exceeds the training size it is
+    clamped with a warning. The query runs through the same batched
+    classifier as ``evaluate_split``, as a batch of one row, and is decided
+    exactly as the scalar rule decides it.
+
+    Raises NotPositiveDefinite when ``metric`` is not SPD.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     a = metric.matrix if isinstance(metric, LearnedMetric) else np.asarray(metric, dtype=float)
@@ -267,8 +351,7 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
             f"metric dim {a.shape[0]}, query dim {query.shape[0]}, "
             f"data dim {train.n_features}"
         )
-    dists = _distances_to_all(a, train.points, query)
-    return _vote(dists, train.labels, k)
+    return int(_knn_labels(train.points, train.labels, a, query[None, :], k)[0])
 
 
 def _standardizer(train_points: np.ndarray):
@@ -293,7 +376,9 @@ def evaluate_split(
 
     Constraints are sampled from the training fold only. When ``metric``
     is given (an SPD array or LearnedMetric) learning is skipped, which
-    provides the plain-Euclidean baseline via an identity matrix.
+    provides the plain-Euclidean baseline via an identity matrix; one that
+    is not SPD raises NotPositiveDefinite. Test points are classified by
+    the rule of ``knn_predict``.
     """
     if train.n_features != test.n_features:
         raise DimensionMismatch(
@@ -324,12 +409,8 @@ def evaluate_split(
     learn_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    labels = train.labels
-    wrong = 0
-    for row, true_label in zip(test_pts, test.labels):
-        dists = _distances_to_all(a, train_pts, row)
-        if _vote(dists, labels, k) != true_label:
-            wrong += 1
+    predicted = _knn_labels(train_pts, train.labels, a, test_pts, k)
+    wrong = int(np.count_nonzero(predicted != test.labels))
     classify_time = time.perf_counter() - t1
 
     return SplitOutcome(
@@ -372,13 +453,15 @@ def cross_validate_t(
     k: int,
     seed: int,
     constraint_count: int | None = None,
+    standardize: bool = False,
 ) -> CvResult:
     """Two-step cross-validated choice of the geodesic parameter t.
 
     Step one scores the coarse grid by mean CV error; step two scores a
     fine window around the coarse winner. The overall argmin wins, with
     ties broken toward the t nearest 0.5. A candidate failing any fold
-    (singular scatter) is disqualified.
+    (singular scatter) is disqualified. With ``standardize`` every fold is
+    z-scored by its own training part, as ``evaluate_split`` does.
     """
     if constraint_count is None:
         constraint_count = default_constraint_count(train.num_classes)
@@ -401,7 +484,8 @@ def cross_validate_t(
         for cv_train, cv_val, fold_seed in splits:
             try:
                 outcome = evaluate_split(
-                    cv_train, cv_val, replace(cfg, t=t), k, constraint_count, fold_seed
+                    cv_train, cv_val, replace(cfg, t=t), k, constraint_count,
+                    fold_seed, standardize=standardize,
                 )
             except SingularScatter:
                 return TScore(t=t, mean_error=None, stage=stage, disqualified=True)
@@ -444,7 +528,9 @@ def _benchmark_unit(
             )
         else:
             if policy is not None:
-                cv = cross_validate_t(train, policy, cfg, k, cv_seed, constraint_count)
+                cv = cross_validate_t(
+                    train, policy, cfg, k, cv_seed, constraint_count, standardize
+                )
                 chosen_t = cv.chosen_t
             else:
                 chosen_t = cfg.t

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +165,41 @@ def test_eval_writes_report(runner, blobs_csv, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["n_runs"] == 1 and len(doc["records"]) == 1
     assert doc["records"][0]["chosen_t"] == 0.5
+
+
+def test_eval_cv_report_total_time_includes_cross_validation(runner, blobs_csv, tmp_path):
+    out = tmp_path / "rep.json"
+    result = runner.invoke(main, ["eval", "--data", str(blobs_csv), "--t", "cv",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, all_text(result)
+    printed = re.search(r"timings: .* total=(\d+\.\d+)s", result.stdout).group(1)
+    doc = json.loads(out.read_text())
+    assert f"{doc['records'][0]['total_time']:.4f}" == printed
+    assert f"{doc['mean_total_time']:.4f}" == printed
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--data"],
+    ["benchmark", "--runs", "1"],
+])
+def test_cv_standardize_ignores_feature_scales(runner, tmp_path, command):
+    # with --lambda > 0 the identity prior makes the learned metric depend
+    # on feature scales; --standardize must z-score the cross-validation
+    # folds as well as the final split, so power-of-two rescaling (exact in
+    # floating point) changes neither the chosen t nor the error
+    data = make_anisotropic(np.random.default_rng(8), n_per_class=30, d=4)
+    outcomes = []
+    for name, scales in (("raw", [1.0, 1.0, 1.0, 1.0]),
+                         ("scaled", [2.0**-10, 2.0**7, 1.0, 2.0**10])):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        write_csv(path, dataclasses.replace(data, points=data.points * scales))
+        result = runner.invoke(main, [*command, str(path), "--t", "cv",
+                                      "--standardize", "--lambda", "1.0",
+                                      "--seed", "3", "--out", str(out)])
+        assert result.exit_code == 0, all_text(result)
+        records = json.loads(out.read_text())["records"]
+        outcomes.append([(rec["chosen_t"], rec["error_rate"]) for rec in records])
+    assert outcomes[0] == outcomes[1]
 
 
 # -------------------------------------------------------------------- benchmark

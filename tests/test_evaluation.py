@@ -1,14 +1,18 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmml import (
     CvPolicy,
     DimensionMismatch,
     GmmlConfig,
     LabeledDataset,
+    NotPositiveDefinite,
     RunRecord,
     EvalReport,
     SingularScatter,
@@ -21,7 +25,7 @@ from gmml import (
     sample_constraints,
     stratified_folds,
 )
-from gmml.evaluation import TIMING_FIELDS
+from gmml.evaluation import TIMING_FIELDS, _distances_to_all, _knn_labels, _vote
 from helpers import make_anisotropic, make_blobs
 
 
@@ -209,6 +213,92 @@ def test_knn_equals_euclidean_on_whitened_points():
             assert knn_predict(train, a, q, k=k) == knn_predict(
                 transformed, np.eye(3), low.T @ q, k=k
             )
+
+
+def test_knn_rejects_non_spd_metric():
+    data = LabeledDataset(points=np.array([[0.0, 0.0], [1.0, 1.0]]), labels=[0, 1])
+    with pytest.raises(NotPositiveDefinite):
+        knn_predict(data, np.diag([1.0, -1.0]), [0.0, 0.0], k=1)
+    with pytest.raises(NotPositiveDefinite):
+        knn_predict(data, np.array([[1.0, 0.5], [0.0, 1.0]]), [0.0, 0.0], k=1)
+    with pytest.raises(NotPositiveDefinite):
+        evaluate_split(data, data, GmmlConfig(), k=1, constraint_count=1, seed=0,
+                       metric=np.diag([1.0, -1.0]))
+
+
+# ------------------------------------------- batched k-NN against the scalar rule
+
+def _problem(points, labels, metric, queries, k):
+    return (np.asarray(points, dtype=float), np.asarray(labels),
+            np.asarray(metric, dtype=float), np.asarray(queries, dtype=float), k)
+
+
+@st.composite
+def knn_problems(draw):
+    """Small k-NN problems built to tie: integer grids (exact arithmetic) or
+    0.1-spaced grids, duplicated training points, queries on training
+    points, large offsets that make the Gram expansion cancel, k up to
+    n + 2, and identity, ill-conditioned, near-singular or random metrics."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    coord = st.integers(-3, 3)
+    points = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)), dtype=float)
+    for i in range(n):
+        if draw(st.booleans()):
+            points[i] = points[draw(st.integers(0, n - 1))]
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            queries.append(points[draw(st.integers(0, n - 1))])
+        else:
+            queries.append(draw(st.lists(coord, min_size=d, max_size=d)))
+    queries = np.array(queries, dtype=float)
+    scale = draw(st.sampled_from([1.0, 0.1]))
+    offset = draw(st.sampled_from([0.0, 2.0**20, 2.0**26]))
+    points, queries = points * scale + offset, queries * scale + offset
+
+    kind = draw(st.sampled_from(["identity", "ill", "near-singular", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "identity":
+        metric = np.eye(d)
+    elif kind == "ill":
+        metric = np.diag(rng.permutation(np.logspace(-8, 8, d)))
+    elif kind == "near-singular":
+        v = rng.standard_normal(d)
+        metric = np.outer(v, v) + 1e-8 * np.eye(d)
+    else:
+        m = rng.standard_normal((d, d))
+        metric = m @ m.T + 0.1 * np.eye(d)
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return _problem(points, labels, metric, queries, draw(st.integers(1, n + 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_problems())
+# the knn_predict tie cases: ties at the k-th distance, vote ties by mean
+# distance and by class index, and k above n
+@example(_problem([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [0, 1, 1], np.eye(2), [[0.0, 0.0]], 2))
+@example(_problem([[1.0, 0.0], [2.0, 0.0]], [1, 0], np.eye(2), [[0.0, 0.0]], 2))
+@example(_problem([[1.0, 0.0], [-1.0, 0.0]], [2, 1], np.eye(2), [[0.0, 0.0]], 2))
+@example(_problem([[0.0], [1.0], [2.0]], [0, 0, 1], np.eye(1), [[0.1]], 7))
+# two points tie exactly under the scalar rule's summation order, but not
+# when einsum is given only those two rows
+@example(_problem([[-2.9, 0.4], [-1.1, -2.8], [10.0, 10.0]], [1, 0, 1],
+                  [[1.1, 0.3], [0.3, 0.7]], [[0.0, 0.0]], 1))
+# squared norms that overflow: Gram distances turn into nan
+@example(_problem([[1e154, 0.0], [-1e154, 0.0], [0.0, 1e154], [0.0, 0.0]], [0, 1, 1, 0],
+                  np.eye(2), [[1e154, 1e154], [0.0, 1.0]], 1))
+def test_batched_knn_matches_scalar_vote(problem):
+    points, labels, metric, queries, k = problem
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _knn_labels(points, labels, metric, queries, k)
+    assert (k > len(points)) == any(issubclass(w.category, UserWarning) for w in caught)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = [_vote(_distances_to_all(metric, points, q), labels, k) for q in queries]
+    assert got.tolist() == expected
 
 
 # ----------------------------------------------------------------- evaluate_split
