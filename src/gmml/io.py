@@ -16,6 +16,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from .exceptions import (
     VersionMismatch,
 )
 from .learn import GmmlConfig, LearnedMetric, MetricProvenance
-from .spd import check_spd
 
 METRIC_MAGIC = "gmml-metric"
 METRIC_FORMAT_VERSION = 1
@@ -92,69 +92,90 @@ def load_dataset(
 ) -> LabeledDataset:
     """Read a delimited text dataset: one sample per row, one label column.
 
-    The delimiter is detected from the first data row (comma if present,
-    otherwise any whitespace) unless given explicitly. ``label_column``
-    selects the label by index, negative indices counting from the end
-    (default: last column). Integer labels that already form a dense range
-    0..c-1 are kept as-is; any other labels (including strings) are mapped
-    to dense codes in first-appearance order, with the original tokens
-    recorded in ``label_names``.
+    The file is UTF-8, optionally starting with a byte-order mark. Blank
+    lines are skipped. The delimiter is detected from the first data row
+    (comma if present, otherwise any whitespace) unless given explicitly;
+    fields are stripped of surrounding whitespace. ``label_column`` selects
+    the label by index, negative indices counting from the end (default:
+    last column). Features use Python ``float()`` syntax and must be
+    finite. Integer labels that already form a dense range 0..c-1 are kept
+    as-is; any other labels (strings, and float-looking tokens such as
+    ``1.0``) are mapped to dense codes in first-appearance order, with the
+    original tokens recorded in ``label_names``.
+
+    Errors, in order of precedence: :class:`EmptyFile` without data rows;
+    :class:`ParseError` when the first row has fewer than two columns;
+    :class:`InconsistentWidth` at the first row whose width differs from
+    the first row's; :class:`ParseError` when ``label_column`` is out of
+    range; then :class:`ParseError` at the first row, in file order, with
+    an empty label or a non-numeric or non-finite feature (the first bad
+    token of that row is named).
     """
     path = Path(path)
-    text = path.read_text()
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
 
-    rows: list[list[str]] = []
-    line_numbers: list[int] = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    width = col = features = None
+    label_tokens: list[str] = []
+    bad_row = None  # (lineno, label, feature tokens) of the first row with a bad value
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if delimiter is None:
             delimiter = "," if "," in stripped else " "
-        if delimiter == ",":
-            fields = [f.strip() for f in stripped.split(",")]
-        else:
-            fields = stripped.split()
+        fields = stripped.split(",") if delimiter == "," else stripped.split()
         if width is None:
             width = len(fields)
             if width < 2:
                 raise ParseError("need at least one feature column and a label column", lineno)
+            col = label_column if label_column >= 0 else width + label_column
+            features = np.empty((len(lines) - lineno + 1, width - 1))
         elif len(fields) != width:
-            raise InconsistentWidth(
-                f"expected {width} columns, found {len(fields)}", lineno
-            )
-        rows.append(fields)
-        line_numbers.append(lineno)
+            raise InconsistentWidth(f"expected {width} columns, found {len(fields)}", lineno)
+        # after a bad value only the widths are still checked, since a
+        # later InconsistentWidth takes precedence over it
+        if bad_row is not None or not 0 <= col < width:
+            continue
+        label = fields.pop(col).strip()
+        try:
+            values = list(map(float, fields))  # float() strips whitespace itself
+        except ValueError:
+            values = None
+        if not label or values is None or not all(map(isfinite, values)):
+            bad_row = (lineno, label, fields)
+            continue
+        features[len(label_tokens)] = values
+        label_tokens.append(label)
 
-    if not rows:
+    if width is None:
         raise EmptyFile(f"{path} contains no data rows")
-
-    col = label_column if label_column >= 0 else width + label_column
     if not 0 <= col < width:
         raise ParseError(f"label column {label_column} out of range for {width} columns")
-
-    label_tokens: list[str] = []
-    features = np.empty((len(rows), width - 1))
-    for r, (fields, lineno) in enumerate(zip(rows, line_numbers)):
-        label_tokens.append(fields[col])
-        feat = fields[:col] + fields[col + 1:]
-        for c_idx, tok in enumerate(feat):
-            try:
-                value = float(tok)
-            except ValueError:
-                raise ParseError(f"non-numeric feature value {tok!r}", lineno) from None
-            if not np.isfinite(value):
-                raise ParseError(f"non-finite feature value {tok!r}", lineno)
-            features[r, c_idx] = value
+    if bad_row is not None:
+        raise _bad_value(col, *bad_row)
 
     labels, label_names = _encode_labels(label_tokens)
     return LabeledDataset(
-        points=features,
+        points=features[: len(label_tokens)],
         labels=labels,
         label_names=label_names,
         name=name if name is not None else path.stem,
     )
+
+
+def _bad_value(col: int, lineno: int, label: str, fields: list[str]) -> ParseError:
+    """The error for a row whose label is empty or a feature is not a finite number."""
+    if not label:
+        return ParseError(f"empty label in column {col}", lineno)
+    for tok in fields:
+        tok = tok.strip()
+        try:
+            value = float(tok)
+        except ValueError:
+            return ParseError(f"non-numeric feature value {tok!r}", lineno)
+        if not isfinite(value):
+            return ParseError(f"non-finite feature value {tok!r}", lineno)
+    raise AssertionError("row has no bad value")
 
 
 def _encode_labels(tokens: list[str]) -> tuple[np.ndarray, list[str]]:
@@ -197,20 +218,19 @@ def save_metric(metric: LearnedMetric, path, fingerprint: DatasetFingerprint | N
         f"fingerprint: {prov.fingerprint if prov.fingerprint else 'none'}",
         "matrix:",
     ]
-    for row in m:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines.extend(" ".join(map(repr, row)) for row in m.tolist())
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_metric(path) -> LearnedMetric:
     """Read a metric file written by :func:`save_metric`.
 
-    Refuses unknown format versions; validates the stored matrix is SPD
-    (CorruptMatrix otherwise). The prior is not reconstructed, only its
+    Skips an optional UTF-8 byte-order mark. Refuses unknown format
+    versions; validates the stored matrix is SPD (CorruptMatrix otherwise). The prior is not reconstructed, only its
     hash is stored, so the returned config carries ``prior=None``.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise CorruptMatrix(f"{path} is empty")
     head = lines[0].split()
@@ -257,22 +277,18 @@ def load_metric(path) -> LearnedMetric:
             f"{path} declares dim {dim} but its matrix section is "
             f"{len(entries)} row(s) of lengths {sorted({len(r) for r in entries})}"
         )
-    matrix = np.asarray(entries)
+    config = GmmlConfig(t=t, lam=lam, prior=None)
+    provenance = MetricProvenance(
+        sim_count=sim_count,
+        dis_count=dis_count,
+        riccati_residual=residual,
+        fingerprint=None if fp == "none" else fp,
+    )
     try:
-        check_spd(matrix, "stored metric")
+        # LearnedMetric validates its matrix with check_spd
+        return LearnedMetric(matrix=np.asarray(entries), config=config, provenance=provenance)
     except NotPositiveDefinite as exc:
         raise CorruptMatrix(f"{path}: stored matrix fails the SPD check: {exc}") from exc
-
-    return LearnedMetric(
-        matrix=matrix,
-        config=GmmlConfig(t=t, lam=lam, prior=None),
-        provenance=MetricProvenance(
-            sim_count=sim_count,
-            dis_count=dis_count,
-            riccati_residual=residual,
-            fingerprint=None if fp == "none" else fp,
-        ),
-    )
 
 
 def report_to_dict(report: EvalReport) -> dict:

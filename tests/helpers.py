@@ -1,11 +1,15 @@
-"""Shared test fixtures: random SPD factories, synthetic datasets, and the
-arithmetic-harmonic-mean oracle used to cross-check geodesic midpoints."""
+"""Shared test fixtures: random SPD factories, synthetic datasets, the
+arithmetic-harmonic-mean oracle used to cross-check geodesic midpoints, and
+the token-by-token dataset loader used to cross-check ``load_dataset``."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from gmml import LabeledDataset
+from gmml import EmptyFile, InconsistentWidth, LabeledDataset, ParseError
+from gmml.io import _encode_labels
 
 
 def rand_spd(rng: np.random.Generator, d: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
@@ -80,3 +84,59 @@ def write_csv(path, data: LabeledDataset) -> None:
     for p, l in zip(data.points, data.labels):
         rows.append(",".join(repr(float(v)) for v in p) + f",{int(l)}")
     path.write_text("\n".join(rows) + "\n")
+
+
+def load_dataset_oracle(path, label_column: int = -1, delimiter: str | None = None) -> LabeledDataset:
+    """Reference loader: keeps every row's tokens, then converts token by token.
+
+    Same contract as :func:`gmml.load_dataset` for UTF-8 files without a
+    byte-order mark and without empty fields, where the library loader
+    deliberately differs.
+    """
+    path = Path(path)
+    rows: list[list[str]] = []
+    line_numbers: list[int] = []
+    width = None
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if delimiter is None:
+            delimiter = "," if "," in stripped else " "
+        if delimiter == ",":
+            fields = [f.strip() for f in stripped.split(",")]
+        else:
+            fields = stripped.split()
+        if width is None:
+            width = len(fields)
+            if width < 2:
+                raise ParseError("need at least one feature column and a label column", lineno)
+        elif len(fields) != width:
+            raise InconsistentWidth(f"expected {width} columns, found {len(fields)}", lineno)
+        rows.append(fields)
+        line_numbers.append(lineno)
+
+    if not rows:
+        raise EmptyFile(f"{path} contains no data rows")
+
+    col = label_column if label_column >= 0 else width + label_column
+    if not 0 <= col < width:
+        raise ParseError(f"label column {label_column} out of range for {width} columns")
+
+    label_tokens: list[str] = []
+    features = np.empty((len(rows), width - 1))
+    for r, (fields, lineno) in enumerate(zip(rows, line_numbers)):
+        label_tokens.append(fields[col])
+        feat = fields[:col] + fields[col + 1:]
+        for c_idx, tok in enumerate(feat):
+            try:
+                value = float(tok)
+            except ValueError:
+                raise ParseError(f"non-numeric feature value {tok!r}", lineno) from None
+            if not np.isfinite(value):
+                raise ParseError(f"non-finite feature value {tok!r}", lineno)
+            features[r, c_idx] = value
+
+    labels, label_names = _encode_labels(label_tokens)
+    return LabeledDataset(points=features, labels=labels, label_names=label_names,
+                          name=path.stem)

@@ -95,6 +95,17 @@ def test_learn_parse_error_exits_with_data_code(runner, tmp_path):
     assert "line 2" in all_text(result)
 
 
+@pytest.mark.parametrize("text,message", [("1,2,0,\n3,4,1,\n", "line 1: empty label"),
+                                          ("1,2,0\n3,,1\n", "line 2: non-numeric feature value ''")],
+                         ids=["empty-label", "empty-feature"])
+def test_learn_empty_field_exits_with_data_code(runner, tmp_path, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    result = runner.invoke(main, ["learn", str(bad), "--out", str(tmp_path / "m.gmml")])
+    assert result.exit_code == 3
+    assert message in all_text(result)
+
+
 def test_learn_cv_mode_reports_chosen_t(runner, tmp_path):
     path = tmp_path / "aniso.csv"
     write_csv(path, make_anisotropic(np.random.default_rng(2), n_per_class=20))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmml import (
     CorruptMatrix,
+    DataError,
     EmptyFile,
     EvalReport,
     GmmlConfig,
@@ -21,7 +24,7 @@ from gmml import (
 )
 from gmml.io import format_report_table
 from gmml.learn import LearnedMetric, MetricProvenance
-from helpers import make_blobs, rand_spd, write_csv
+from helpers import load_dataset_oracle, make_blobs, rand_spd, write_csv
 
 
 def identity_metric(d=3):
@@ -148,6 +151,135 @@ def test_load_missing_file(tmp_path):
         load_dataset(tmp_path / "nope.csv")
 
 
+def test_load_float_looking_labels_are_strings(tmp_path):
+    path = tmp_path / "floats.csv"
+    path.write_text("1,2,1.0\n3,4,0.0\n5,6,2.0\n7,8,0.0\n")
+    data = load_dataset(path)
+    assert data.labels.tolist() == [0, 1, 2, 1]
+    assert data.label_names == ["1.0", "0.0", "2.0"]
+
+
+def test_load_crlf_line_endings(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"1,2,0\r\n3,4,1\r\n\r\n")
+    data = load_dataset(path)
+    assert data.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert data.labels.tolist() == [0, 1]
+
+
+def test_load_delimiter_comes_from_first_row(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text("1 2 0\n3,4,1\n")
+    with pytest.raises(InconsistentWidth) as info:
+        load_dataset(path)
+    assert info.value.line_number == 2
+
+
+@pytest.mark.parametrize("text,label_column", [("1.0,2.0,0\n3.0,4.0,1\n", -1),
+                                                ("0,1.0,2.0\n1,3.0,4.0\n", 0)],
+                         ids=["label-last", "label-first"])
+def test_load_ignores_byte_order_mark(tmp_path, text, label_column):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = load_dataset(plain, label_column=label_column)
+    got = load_dataset(marked, label_column=label_column)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.labels.tolist() == want.labels.tolist() == [0, 1]
+    assert got.label_names == want.label_names == ["0", "1"]
+
+
+def test_load_rejects_empty_label(tmp_path):
+    path = tmp_path / "trailing.csv"
+    path.write_text("1,2,0,\n3,4,1,\n")
+    with pytest.raises(ParseError) as info:
+        load_dataset(path)
+    assert info.value.line_number == 1
+    assert "empty label" in str(info.value)
+
+
+def test_load_rejects_empty_feature(tmp_path):
+    path = tmp_path / "gap.csv"
+    path.write_text("1,2,0\n3, ,1\n")
+    with pytest.raises(ParseError) as info:
+        load_dataset(path)
+    assert info.value.line_number == 2
+    assert "non-numeric feature value ''" in str(info.value)
+
+
+_TOKENS = ["0", "-1.5", "2.25e-3", "1_000", "1e308", "-1e308", "1e309", "-0.0", ".5",
+           "+7", "nan", "inf", "-Infinity", "abc", "1.2.3", "0x10", "1e", "٣"]
+_LABELS = {"dense": ["0", "1", "2"], "sparse": ["5", "7", "-1"], "text": ["a", "b", "a b"],
+           "float": ["1.0", "0.0", "2.0"]}
+
+
+@st.composite
+def dataset_files(draw):
+    """Delimited text files with or without faults, and a label column to read.
+
+    Fields are never empty and the file has no byte-order mark: there the
+    library loader deliberately differs from the oracle.
+    """
+    width = draw(st.sampled_from([1, 2, 2, 3, 3, 4, 5, 5]))
+    comma = draw(st.booleans())
+    labels = _LABELS[draw(st.sampled_from(sorted(_LABELS)))]
+    label_column = draw(st.sampled_from([0, width // 2, width - 1, -1, -1, -width, width, -width - 1]))
+    col = label_column if label_column >= 0 else width + label_column
+    clean = draw(st.integers(0, 2)) == 0
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    lines = []
+    for _ in range(draw(st.sampled_from([0, 1, 2, 3, 4, 4, 6, 6, 8, 8]))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+            continue
+        row_width = width if clean or draw(st.integers(0, 15)) else draw(st.integers(1, 6))
+        tokens = []
+        for j in range(row_width):
+            if j == col:
+                tokens.append(draw(st.sampled_from(labels)) if clean or draw(st.integers(0, 7))
+                              else draw(st.sampled_from(_TOKENS)))
+            elif clean or draw(st.integers(0, 5)):
+                tokens.append(draw(number))
+            else:
+                tokens.append(draw(st.sampled_from(_TOKENS)))
+        row_comma = comma if clean or draw(st.integers(0, 15)) else not comma
+        if row_comma:
+            line = ",".join(draw(pad) + tok + draw(pad) for tok in tokens)
+        else:
+            line = " ".join(tok.replace(" ", "_") for tok in tokens)
+        lines.append(draw(pad) + line + draw(pad))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), label_column
+
+
+def _outcome(load, path, label_column):
+    try:
+        data = load(path, label_column=label_column)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return data.points.tobytes(), data.points.shape, data.labels.tolist(), data.label_names
+
+
+@settings(max_examples=400, deadline=None)
+@given(dataset_files())
+@example(("1_000, 1e308,0\n2,3,1\n", -1))
+@example(("1 nan 0\n2 abc 1\n", -1))
+@example(("1,abc,0\n2,3\n", -1))
+@example(("1,inf,abc,0\n2,3,4,1\n", -1))
+@example(("1,abc,nan,0\n2,3,4,1\n", -1))
+@example(("1,inf,abc,0\n", 5))
+@example(("a,1,2\nb,inf,x\nc,oops,4\n", 0))
+@example(("0,1,2\n", 7))
+def test_load_dataset_matches_token_oracle(tmp_path_factory, file):
+    text, label_column = file
+    path = tmp_path_factory.mktemp("oracle") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _outcome(load_dataset_oracle, path, label_column)
+    assert _outcome(load_dataset, path, label_column) == want
+
+
 # ------------------------------------------------------------------ fingerprint
 
 def test_fingerprint_stable_across_loads(tmp_path):
@@ -227,6 +359,16 @@ def test_metric_non_spd_content_rejected(tmp_path):
     path.write_text(doctored)
     with pytest.raises(CorruptMatrix):
         load_metric(path)
+
+
+def test_metric_load_checks_spd_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.gmml"
+    save_metric(identity_metric(3), path)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    load_metric(path)
+    assert len(calls) == 1
 
 
 def test_metric_wrong_magic_rejected(tmp_path):
