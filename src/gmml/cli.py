@@ -28,6 +28,7 @@ from .evaluation import (
     EvalReport,
     RunRecord,
     SplitPlan,
+    _standardizer,
     cross_validate_t,
     default_constraint_count,
     evaluate_split,
@@ -41,7 +42,7 @@ from .exceptions import (
     NotPositiveDefinite,
     SingularScatter,
 )
-from .learn import GmmlConfig, scatter_matrices, solve_regularized
+from .learn import GmmlConfig, scatter_matrices, solve
 
 EXIT_ARGUMENT = 2
 EXIT_DATA = 3
@@ -114,7 +115,7 @@ def _data_options(fn):
     )(fn)
     return fn
 
-def _solver_options(fn):
+def _config_options(fn):
     fn = click.option(
         "--t", "t_value", default="0.5", show_default=True, callback=_parse_t,
         help="Geodesic weight in [0, 1], or 'cv' to cross-validate it.",
@@ -184,13 +185,6 @@ def _require_classes(data) -> None:
         )
 
 
-def _standardized(data):
-    mu = data.points.mean(axis=0)
-    sigma = data.points.std(axis=0)
-    sigma[sigma == 0.0] = 1.0
-    return replace(data, points=(data.points - mu) / sigma)
-
-
 @click.group()
 @click.version_option(package_name="gmml", prog_name="gmml")
 def main():
@@ -200,7 +194,7 @@ def main():
 @main.command("learn")
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
 @_data_options
-@_solver_options
+@_config_options
 @_cv_options
 @click.option("--k", type=int, default=DEFAULT_K, show_default=True, callback=_positive,
               help="Neighbors used when --t cv scores candidates.")
@@ -220,7 +214,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     data = gio.load_dataset(dataset, label_column=label_column)
     _require_classes(data)
     if standardize:
-        data = _standardized(data)
+        data = replace(data, points=_standardizer(data.points)(data.points))
     fingerprint = gio.fingerprint_dataset(data)
     resolved_count = count if count is not None else default_constraint_count(data.num_classes)
 
@@ -239,7 +233,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     learn_start = time.perf_counter()
     pairs = sample_constraints(data, resolved_count, seed)
     sc = scatter_matrices(data, pairs)
-    metric = solve_regularized(sc, cfg, fingerprint=fingerprint.compact())
+    metric = solve(sc, cfg, fingerprint=fingerprint.compact())
     learn_time = time.perf_counter() - learn_start
 
     gio.save_metric(metric, out)
@@ -280,7 +274,7 @@ def _holdout_split(data, fraction, seed):
               help="Evaluate a fixed metric: a saved metric file or 'identity' "
                    "for the Euclidean baseline. Omit to learn from --train.")
 @_data_options
-@_solver_options
+@_config_options
 @_cv_options
 @click.option("--k", type=int, default=DEFAULT_K, show_default=True, callback=_positive,
               help="Neighbors for classification.")
@@ -416,7 +410,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
 @click.option("--jobs", type=int, default=1, show_default=True, callback=_positive,
               help="Worker threads for independent run/fold units.")
 @_data_options
-@_solver_options
+@_config_options
 @_cv_options
 @click.option("--k", type=int, default=DEFAULT_K, show_default=True, callback=_positive,
               help="Neighbors for classification.")

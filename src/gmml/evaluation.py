@@ -23,7 +23,7 @@ from .learn import (
     LearnedMetric,
     PairConstraints,
     scatter_matrices,
-    solve_regularized,
+    solve,
 )
 from .spd import cholesky
 
@@ -395,7 +395,7 @@ def evaluate_split(
         pairs = sample_constraints(train, constraint_count, seed)
         sc = scatter_matrices(train_pts, pairs)
         try:
-            learned = solve_regularized(sc, cfg)
+            learned = solve(sc, cfg)
         except SingularScatter as exc:
             where = f" (dataset {train.name})" if train.name else ""
             raise SingularScatter(exc.which, f"while learning{where}") from exc

@@ -87,21 +87,20 @@ def _atomic_write(path, text: str) -> None:
 def load_dataset(
     path,
     label_column: int = -1,
-    delimiter: str | None = None,
     name: str | None = None,
 ) -> LabeledDataset:
     """Read a delimited text dataset: one sample per row, one label column.
 
     The file is UTF-8, optionally starting with a byte-order mark. Blank
     lines are skipped. The delimiter is detected from the first data row
-    (comma if present, otherwise any whitespace) unless given explicitly;
-    fields are stripped of surrounding whitespace. ``label_column`` selects
-    the label by index, negative indices counting from the end (default:
-    last column). Features use Python ``float()`` syntax and must be
-    finite. Integer labels that already form a dense range 0..c-1 are kept
-    as-is; any other labels (strings, and float-looking tokens such as
-    ``1.0``) are mapped to dense codes in first-appearance order, with the
-    original tokens recorded in ``label_names``.
+    (comma if present, otherwise any whitespace); fields are stripped of
+    surrounding whitespace. ``label_column`` selects the label by index,
+    negative indices counting from the end (default: last column).
+    Features use Python ``float()`` syntax and must be finite. Integer
+    labels that already form a dense range 0..c-1 are kept as-is; any
+    other labels (strings, and float-looking tokens such as ``1.0``) are
+    mapped to dense codes in first-appearance order, with the original
+    tokens recorded in ``label_names``.
 
     Errors, in order of precedence: :class:`EmptyFile` without data rows;
     :class:`ParseError` when the first row has fewer than two columns;
@@ -114,16 +113,16 @@ def load_dataset(
     path = Path(path)
     lines = path.read_text(encoding="utf-8-sig").splitlines()
 
-    width = col = features = None
+    width = col = features = comma = None
     label_tokens: list[str] = []
     bad_row = None  # (lineno, label, feature tokens) of the first row with a bad value
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        if delimiter is None:
-            delimiter = "," if "," in stripped else " "
-        fields = stripped.split(",") if delimiter == "," else stripped.split()
+        if comma is None:
+            comma = "," in stripped
+        fields = stripped.split(",") if comma else stripped.split()
         if width is None:
             width = len(fields)
             if width < 2:
@@ -277,7 +276,10 @@ def load_metric(path) -> LearnedMetric:
             f"{path} declares dim {dim} but its matrix section is "
             f"{len(entries)} row(s) of lengths {sorted({len(r) for r in entries})}"
         )
-    config = GmmlConfig(t=t, lam=lam, prior=None)
+    try:
+        config = GmmlConfig(t=t, lam=lam, prior=None)
+    except ValueError as exc:
+        raise CorruptMatrix(f"{path} has an invalid header: {exc}") from exc
     provenance = MetricProvenance(
         sim_count=sim_count,
         dis_count=dis_count,

@@ -1,16 +1,18 @@
-"""Scatter-matrix construction and the closed-form metric solvers.
+"""Scatter-matrix construction and the closed-form metric solver.
 
 The learned Mahalanobis matrix is the point at parameter ``t`` on the SPD
-geodesic from the inverse of the similarity scatter matrix to the
-dissimilarity scatter matrix, optionally after blending both with a prior.
-At ``t = 1/2`` this point is the unique SPD solution of ``A S A = D``, so
-every solve records the relative residual of that equation as a built-in
-self check.
+geodesic from the inverse of the similarity scatter matrix S to the
+dissimilarity scatter matrix D, optionally after blending both with a
+prior. :func:`solve` computes it from one Cholesky factorization
+S = L L^T and one symmetric eigendecomposition L^T D L = V diag(w) V^T as
+A = P diag(w^t) P^T with P = L^{-T} V. At ``t = 1/2`` this point is the
+unique SPD solution of ``A S A = D``, so every solve records the relative
+residual of that equation as a built-in self check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -60,12 +62,17 @@ class PairConstraints:
 
 @dataclass(frozen=True)
 class ScatterMatrices:
-    """Similarity and dissimilarity scatter matrices with pair counts."""
+    """Similarity and dissimilarity scatter matrices with pair counts.
+
+    ``extreme_eigenvalues`` maps "similarity" and "dissimilarity" to the
+    (min, max) eigenvalues found by the positive semi-definiteness check.
+    """
 
     s_mat: np.ndarray
     d_mat: np.ndarray
     sim_count: int
     dis_count: int
+    extreme_eigenvalues: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = spd.symmetrize(self.s_mat)
@@ -74,10 +81,13 @@ class ScatterMatrices:
             raise DimensionMismatch(
                 f"scatter matrices have mismatched shapes {s.shape} and {d.shape}"
             )
+        extremes = {}
         for name, m in (("similarity", s), ("dissimilarity", d)):
             w = np.linalg.eigvalsh(m)
             if w[0] < -1e-10 * max(w[-1], 0.0):
                 raise ValueError(f"{name} scatter matrix is not positive semi-definite")
+            extremes[name] = (w[0], w[-1])
+        object.__setattr__(self, "extreme_eigenvalues", extremes)
         object.__setattr__(self, "s_mat", s)
         object.__setattr__(self, "d_mat", d)
 
@@ -217,23 +227,42 @@ def riccati_residual(a: np.ndarray, s: np.ndarray, d: np.ndarray) -> float:
     return float(np.linalg.norm(a @ s @ a - d) / denom)
 
 
-def _check_scatter_spd(sc: ScatterMatrices) -> None:
-    for which, m in (("similarity", sc.s_mat), ("dissimilarity", sc.d_mat)):
-        w = np.linalg.eigvalsh(m)
-        if not (w[-1] > 0 and w[0] > spd.SPD_TOLERANCE * w[-1]):
-            ratio = w[0] / w[-1] if w[-1] > 0 else w[0]
-            raise SingularScatter(which, f"relative min eigenvalue {ratio:.3e}")
+def solve(
+    sc: ScatterMatrices, cfg: GmmlConfig = GmmlConfig(), fingerprint: str | None = None
+) -> LearnedMetric:
+    """Metric at parameter ``cfg.t`` on the geodesic from S^{-1} to D.
 
+    ``t`` balances the two terms of the cost trace(A S) + trace(A^{-1} D):
+    t=0 returns S^{-1}, t=1 returns D, and the default t=1/2 is the unique
+    SPD solution of A S A = D. With ``cfg.lam > 0`` the solve uses
+    S + lam * prior^{-1} and D + lam * prior instead, which keeps both SPD
+    when the raw scatters are merely positive semi-definite; large ``lam``
+    pulls the result toward the prior. With ``lam = 0`` both scatters must
+    be strictly SPD, otherwise SingularScatter names the first that is not.
 
-def _solve(sc: ScatterMatrices, cfg: GmmlConfig, fingerprint: str | None) -> LearnedMetric:
+    The S used is factored once as S = L L^T. With the eigendecomposition
+    L^T D L = V diag(w) V^T and P = L^{-T} V, the metric is
+    A = P diag(w^t) P^T.
+    """
     if cfg.lam == 0.0:
-        _check_scatter_spd(sc)
+        for which, (lo, hi) in sc.extreme_eigenvalues.items():
+            if not (hi > 0 and lo > spd.SPD_TOLERANCE * hi):
+                ratio = lo / hi if hi > 0 else lo
+                raise SingularScatter(which, f"relative min eigenvalue {ratio:.3e}")
         s_used, d_used = sc.s_mat, sc.d_mat
     else:
         a0 = cfg.prior_for_dim(sc.dim)
         s_used = spd.symmetrize(sc.s_mat + cfg.lam * spd.spd_inverse(a0))
         d_used = spd.symmetrize(sc.d_mat + cfg.lam * a0)
-    a = spd.geodesic(spd.spd_inverse(s_used), d_used, cfg.t)
+    low = spd.cholesky(s_used)
+    w, v = spd.sym_eigen(spd.symmetrize(low.T @ d_used @ low))
+    if w[0] <= 0:
+        raise NotPositiveDefinite(
+            f"dissimilarity scatter is not positive definite "
+            f"(whitened min eigenvalue {w[0]:.3e})"
+        )
+    p = scipy.linalg.solve_triangular(low, v, lower=True, trans="T")
+    a = spd.symmetrize((p * w**cfg.t) @ p.T)
     return LearnedMetric(
         matrix=a,
         config=cfg,
@@ -244,41 +273,3 @@ def _solve(sc: ScatterMatrices, cfg: GmmlConfig, fingerprint: str | None) -> Lea
             fingerprint=fingerprint,
         ),
     )
-
-
-def solve_plain(sc: ScatterMatrices, fingerprint: str | None = None) -> LearnedMetric:
-    """Metric minimizing trace(A S) + trace(A^{-1} D): the midpoint of the
-    geodesic from S^{-1} to D, i.e. the unique SPD solution of A S A = D.
-
-    Both scatter matrices must be strictly SPD; otherwise SingularScatter
-    is raised naming the offending matrix. Callers with rank-deficient
-    scatter should use :func:`solve_regularized`.
-    """
-    return _solve(sc, GmmlConfig(t=0.5, lam=0.0), fingerprint)
-
-
-def solve_weighted(
-    sc: ScatterMatrices, t: float, fingerprint: str | None = None
-) -> LearnedMetric:
-    """Metric at parameter t on the geodesic from S^{-1} to D.
-
-    ``t`` balances the similarity and dissimilarity terms: t=0 returns
-    S^{-1}, t=1 returns D, t=1/2 matches :func:`solve_plain`.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
-    return _solve(sc, GmmlConfig(t=t, lam=0.0), fingerprint)
-
-
-def solve_regularized(
-    sc: ScatterMatrices, cfg: GmmlConfig, fingerprint: str | None = None
-) -> LearnedMetric:
-    """Metric from prior-blended scatter matrices.
-
-    Solves with S + lam * prior^{-1} in place of S and D + lam * prior in
-    place of D, which keeps both endpoints SPD for any positive ``lam``
-    even when the raw scatter matrices are merely positive semi-definite.
-    With ``lam = 0`` this reduces exactly to :func:`solve_weighted`; large
-    ``lam`` pulls the result toward the prior.
-    """
-    return _solve(sc, cfg, fingerprint)

@@ -1,6 +1,7 @@
 """Shared test fixtures: random SPD factories, synthetic datasets, the
-arithmetic-harmonic-mean oracle used to cross-check geodesic midpoints, and
-the token-by-token dataset loader used to cross-check ``load_dataset``."""
+arithmetic-harmonic-mean oracle used to cross-check geodesic midpoints, the
+inverse-then-geodesic route used to cross-check ``solve``, and the
+token-by-token dataset loader used to cross-check ``load_dataset``."""
 
 from __future__ import annotations
 
@@ -8,7 +9,20 @@ from pathlib import Path
 
 import numpy as np
 
-from gmml import EmptyFile, InconsistentWidth, LabeledDataset, ParseError
+from gmml import (
+    SPD_TOLERANCE,
+    EmptyFile,
+    GmmlConfig,
+    InconsistentWidth,
+    LabeledDataset,
+    ParseError,
+    ScatterMatrices,
+    SingularScatter,
+    check_spd,
+    geodesic,
+    spd_inverse,
+    symmetrize,
+)
 from gmml.io import _encode_labels
 
 
@@ -42,6 +56,26 @@ def spd_sqrt(a: np.ndarray) -> np.ndarray:
     """Principal square root via eigendecomposition (oracle path)."""
     w, v = np.linalg.eigh(a)
     return v @ np.diag(np.sqrt(w)) @ v.T
+
+
+def solve_oracle(sc: ScatterMatrices, cfg: GmmlConfig) -> np.ndarray:
+    """Reference solver: eigenvalue guards on both scatters, then
+    geodesic(S^{-1}, D, t), which factors S and then S^{-1} again.
+
+    Same contract as :func:`gmml.solve`, except that it rejects some
+    ill-conditioned pairs the single-factorization route solves.
+    """
+    if cfg.lam == 0.0:
+        for which, m in (("similarity", sc.s_mat), ("dissimilarity", sc.d_mat)):
+            w = np.linalg.eigvalsh(m)
+            if not (w[-1] > 0 and w[0] > SPD_TOLERANCE * w[-1]):
+                raise SingularScatter(which, "oracle guard")
+        s_used, d_used = sc.s_mat, sc.d_mat
+    else:
+        a0 = cfg.prior_for_dim(sc.dim)
+        s_used = symmetrize(sc.s_mat + cfg.lam * spd_inverse(a0))
+        d_used = symmetrize(sc.d_mat + cfg.lam * a0)
+    return check_spd(geodesic(spd_inverse(s_used), d_used, cfg.t), "learned metric")
 
 
 def make_blobs(
@@ -86,7 +120,7 @@ def write_csv(path, data: LabeledDataset) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
-def load_dataset_oracle(path, label_column: int = -1, delimiter: str | None = None) -> LabeledDataset:
+def load_dataset_oracle(path, label_column: int = -1) -> LabeledDataset:
     """Reference loader: keeps every row's tokens, then converts token by token.
 
     Same contract as :func:`gmml.load_dataset` for UTF-8 files without a
@@ -96,14 +130,14 @@ def load_dataset_oracle(path, label_column: int = -1, delimiter: str | None = No
     path = Path(path)
     rows: list[list[str]] = []
     line_numbers: list[int] = []
-    width = None
+    width = comma = None
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        if delimiter is None:
-            delimiter = "," if "," in stripped else " "
-        if delimiter == ",":
+        if comma is None:
+            comma = "," in stripped
+        if comma:
             fields = [f.strip() for f in stripped.split(",")]
         else:
             fields = stripped.split()

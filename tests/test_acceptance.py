@@ -32,9 +32,7 @@ from gmml.learn import (
     objective,
     objective_gradient,
     scatter_matrices,
-    solve_plain,
-    solve_regularized,
-    solve_weighted,
+    solve,
 )
 from gmml.spd import geodesic, riemannian_distance, spd_inverse, spd_power
 from helpers import make_anisotropic, make_blobs, rand_spd, write_csv
@@ -56,7 +54,7 @@ def test_criterion_01_riccati_correctness(capsys):
     worst = 0.0
     for d in (2, 5, 20, 100):
         for _ in range(100):
-            metric = solve_plain(random_sc(rng, d))
+            metric = solve(random_sc(rng, d))
             worst = max(worst, metric.provenance.riccati_residual)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -72,7 +70,7 @@ def test_criterion_02_explicit_square_root_route(capsys):
     for _ in range(50):
         d = int(rng.integers(2, 31))
         sc = random_sc(rng, d)
-        a = solve_plain(sc).matrix
+        a = solve(sc).matrix
         s_half = spd_power(sc.s_mat, 0.5)
         s_neg = spd_power(sc.s_mat, -0.5)
         b = s_neg @ spd_power(s_half @ sc.d_mat @ s_half, 0.5) @ s_neg
@@ -138,7 +136,7 @@ def test_criterion_05_weighted_solution_arclength(capsys):
         s_inv = spd_inverse(sc.s_mat)
         full = riemannian_distance(s_inv, sc.d_mat)
         for t in (0.1, 0.5, 0.9):
-            a_t = solve_weighted(sc, t).matrix
+            a_t = solve(sc, GmmlConfig(t=t)).matrix
             part = riemannian_distance(s_inv, a_t)
             worst = max(worst, abs(part - t * full) / (t * full))
     ok = worst <= 1e-8
@@ -153,10 +151,10 @@ def test_criterion_06_regularization_pulls_toward_prior(capsys):
     monotone = True
     for _ in range(10):
         sc = random_sc(rng, 6)
-        huge = solve_regularized(sc, GmmlConfig(lam=1e8)).matrix
+        huge = solve(sc, GmmlConfig(lam=1e8)).matrix
         worst_limit = max(worst_limit, riemannian_distance(huge, eye))
-        strong = riemannian_distance(solve_regularized(sc, GmmlConfig(lam=100.0)).matrix, eye)
-        weak = riemannian_distance(solve_regularized(sc, GmmlConfig(lam=0.01)).matrix, eye)
+        strong = riemannian_distance(solve(sc, GmmlConfig(lam=100.0)).matrix, eye)
+        weak = riemannian_distance(solve(sc, GmmlConfig(lam=0.01)).matrix, eye)
         monotone = monotone and strong < weak
     ok = worst_limit <= 1e-3 and monotone
     announce(capsys, 6, ok,
@@ -201,7 +199,7 @@ def test_criterion_08_runtime_scaling(capsys):
     pairs = sample_constraints(data, default_constraint_count(10), seed=0)
     start = time.perf_counter()
     sc = scatter_matrices(data, pairs)
-    solve_plain(sc)
+    solve(sc)
     learn_time = time.perf_counter() - start
 
     # solve cost should grow roughly with the cube of the dimension: each
@@ -212,7 +210,7 @@ def test_criterion_08_runtime_scaling(capsys):
                MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import json, test_acceptance; print(json.dumps(test_acceptance._solve_times()))"],
+         "import json, test_acceptance; print(json.dumps(test_acceptance._median_solve_times()))"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     solve_times = json.loads(probe.stdout.splitlines()[-1])
@@ -226,17 +224,17 @@ def test_criterion_08_runtime_scaling(capsys):
     assert ok, (learn_time, solve_times)
 
 
-def _solve_times(dims=(64, 128, 256), repeats=15):
-    """Median solve_plain time per dimension. The host's speed drifts in
+def _median_solve_times(dims=(64, 128, 256), repeats=15):
+    """Median solve time per dimension. The host's speed drifts in
     phases, so every repeat times all sizes back to back."""
     rng = np.random.default_rng(208)
     scs = [random_sc(rng, d) for d in dims]
     for sc in scs:
-        solve_plain(sc)  # warm-up
+        solve(sc)  # warm-up
     samples = [[] for _ in dims]
     for _ in range(repeats):
         for times, sc in zip(samples, scs):
-            times.append(_timed(lambda: solve_plain(sc)))
+            times.append(_timed(lambda: solve(sc)))
     return [float(np.median(times)) for times in samples]
 
 

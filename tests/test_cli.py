@@ -72,6 +72,26 @@ def test_learn_regularized_on_rank_deficient_data(runner, degenerate_csv, tmp_pa
     assert out.exists()
 
 
+def test_learn_standardize_matches_pre_standardized_data(runner, tmp_path):
+    # --standardize z-scores by the dataset's mean and std, mapping the std
+    # of a constant column to 1
+    data = make_anisotropic(np.random.default_rng(9), n_per_class=15, d=3)
+    points = data.points.copy()
+    points[:, 1] = 4.0
+    sigma = points.std(axis=0)
+    sigma[sigma == 0.0] = 1.0
+    texts = []
+    for name, pts, flags in (("raw", points, ["--standardize"]),
+                             ("z", (points - points.mean(axis=0)) / sigma, [])):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.gmml"
+        write_csv(path, dataclasses.replace(data, points=pts))
+        result = runner.invoke(main, ["learn", str(path), "--lambda", "0.1", *flags,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, all_text(result)
+        texts.append(re.sub(r"^created: .*$", "", out.read_text(), flags=re.MULTILINE))
+    assert texts[0] == texts[1]
+
+
 def test_learn_rejects_t_out_of_range_before_work(runner, blobs_csv, tmp_path):
     out = tmp_path / "m.gmml"
     result = runner.invoke(main, ["learn", str(blobs_csv), "--t", "1.5",
@@ -153,6 +173,18 @@ def test_eval_metric_dimension_mismatch_names_both(runner, blobs_csv, tmp_path):
     assert result.exit_code == 3
     text = all_text(result)
     assert "10" in text and "2" in text
+
+
+@pytest.mark.parametrize("field, value", [("t", "2.0"), ("lambda", "-0.5")])
+def test_eval_metric_with_invalid_header_exits_with_data_code(runner, blobs_csv, tmp_path,
+                                                              field, value):
+    path = tmp_path / "m.gmml"
+    assert runner.invoke(main, ["learn", str(blobs_csv), "--out", str(path)]).exit_code == 0
+    path.write_text(re.sub(rf"^{field}: .*$", f"{field}: {value}", path.read_text(),
+                           flags=re.MULTILINE))
+    result = runner.invoke(main, ["eval", "--data", str(blobs_csv), "--metric", str(path)])
+    assert result.exit_code == 3, all_text(result)
+    assert "invalid header" in all_text(result)
 
 
 def test_eval_requires_a_data_source(runner, blobs_csv):

@@ -19,7 +19,7 @@ from gmml import (
     load_metric,
     read_report,
     save_metric,
-    solve_plain,
+    solve,
     write_report,
 )
 from gmml.io import format_report_table
@@ -320,7 +320,7 @@ def test_metric_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     sc = ScatterMatrices(s_mat=rand_spd(rng, 4), d_mat=rand_spd(rng, 4),
                          sim_count=7, dis_count=9)
-    metric = solve_plain(sc, fingerprint="n=4 d=4 c=2 hash=beef")
+    metric = solve(sc, fingerprint="n=4 d=4 c=2 hash=beef")
     path = tmp_path / "m.gmml"
     save_metric(metric, path)
     loaded = load_metric(path)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gmml import (
     DimensionMismatch,
     GmmlConfig,
     LabeledDataset,
+    NotPositiveDefinite,
     PairConstraints,
     ScatterMatrices,
     SingularScatter,
@@ -14,12 +17,10 @@ from gmml import (
     objective_gradient,
     riccati_residual,
     scatter_matrices,
-    solve_plain,
-    solve_regularized,
-    solve_weighted,
+    solve,
 )
 from gmml.spd import is_spd, riemannian_distance, spd_inverse, symmetrize
-from helpers import ahm_mean, rand_spd
+from helpers import ahm_mean, rand_spd, solve_oracle
 
 
 def rel_fro(x, y):
@@ -143,7 +144,7 @@ def test_objective_scalar_arithmetic():
 def test_objective_minimal_at_closed_form():
     rng = np.random.default_rng(3)
     sc = random_sc(rng, 4)
-    a = solve_plain(sc).matrix
+    a = solve(sc).matrix
     base = objective(a, sc)
     for _ in range(20):
         probe = symmetrize(a + 0.1 * np.linalg.norm(a) * symmetrize(rng.standard_normal((4, 4))))
@@ -157,7 +158,7 @@ def test_objective_minimal_at_closed_form():
 def test_gradient_vanishes_at_solution():
     rng = np.random.default_rng(4)
     sc = random_sc(rng, 5)
-    a = solve_plain(sc).matrix
+    a = solve(sc).matrix
     g = objective_gradient(a, sc)
     assert np.linalg.norm(g) <= 1e-8 * np.linalg.norm(sc.s_mat)
 
@@ -205,12 +206,12 @@ def test_gradient_opposition_of_pull_terms():
 
 def test_solve_plain_scalar_riccati():
     sc = ScatterMatrices(s_mat=[[2.0]], d_mat=[[8.0]], sim_count=0, dis_count=0)
-    assert_allclose(solve_plain(sc).matrix, [[2.0]], atol=1e-12)
+    assert_allclose(solve(sc).matrix, [[2.0]], atol=1e-12)
 
 
 def test_solve_plain_identity_fixed_point():
     sc = ScatterMatrices(s_mat=np.eye(3), d_mat=np.eye(3), sim_count=0, dis_count=0)
-    assert_allclose(solve_plain(sc).matrix, np.eye(3), atol=1e-12)
+    assert_allclose(solve(sc).matrix, np.eye(3), atol=1e-12)
 
 
 def test_solve_plain_matches_ahm_oracle():
@@ -221,7 +222,7 @@ def test_solve_plain_matches_ahm_oracle():
         [1.8396173700172551, -0.5684730304826776],
         [-0.5684730304826776, 1.3911749288722710],
     ])
-    metric = solve_plain(sc)
+    metric = solve(sc)
     assert_allclose(metric.matrix, expected, atol=1e-13)
     assert rel_fro(metric.matrix, ahm_mean(np.linalg.inv(s), d)) <= 1e-12
     assert riccati_residual(metric.matrix, s, d) <= 1e-12
@@ -232,40 +233,33 @@ def test_solve_plain_names_singular_matrix():
     rank_deficient = np.array([[1.0, 0.0], [0.0, 0.0]])
     good = np.eye(2)
     with pytest.raises(SingularScatter) as info:
-        solve_plain(ScatterMatrices(s_mat=rank_deficient, d_mat=good, sim_count=0, dis_count=0))
+        solve(ScatterMatrices(s_mat=rank_deficient, d_mat=good, sim_count=0, dis_count=0))
     assert info.value.which == "similarity"
     assert "regularized" in str(info.value)
     with pytest.raises(SingularScatter) as info:
-        solve_plain(ScatterMatrices(s_mat=good, d_mat=rank_deficient, sim_count=0, dis_count=0))
+        solve(ScatterMatrices(s_mat=good, d_mat=rank_deficient, sim_count=0, dis_count=0))
     assert info.value.which == "dissimilarity"
 
 
 def test_solve_weighted_endpoints():
     rng = np.random.default_rng(8)
     sc = random_sc(rng, 4)
-    assert rel_fro(solve_weighted(sc, 0.0).matrix, spd_inverse(sc.s_mat)) <= 1e-10
-    assert rel_fro(solve_weighted(sc, 1.0).matrix, sc.d_mat) <= 1e-10
+    assert rel_fro(solve(sc, GmmlConfig(t=0.0)).matrix, spd_inverse(sc.s_mat)) <= 1e-10
+    assert rel_fro(solve(sc, GmmlConfig(t=1.0)).matrix, sc.d_mat) <= 1e-10
 
 
 def test_solve_weighted_midpoint_equals_plain():
     rng = np.random.default_rng(9)
     sc = random_sc(rng, 5)
-    assert rel_fro(solve_weighted(sc, 0.5).matrix, solve_plain(sc).matrix) <= 1e-10
-
-
-def test_solve_weighted_rejects_t_out_of_range():
-    rng = np.random.default_rng(10)
-    sc = random_sc(rng, 3)
-    for t in (-0.5, 1.5):
-        with pytest.raises(ValueError):
-            solve_weighted(sc, t)
+    midpoint = ahm_mean(spd_inverse(sc.s_mat), sc.d_mat)
+    assert rel_fro(solve(sc, GmmlConfig(t=0.5)).matrix, midpoint) <= 1e-10
 
 
 def test_solve_weighted_minimizes_weighted_distance_cost():
     rng = np.random.default_rng(11)
     sc = random_sc(rng, 3)
     t = 0.3
-    a = solve_weighted(sc, t).matrix
+    a = solve(sc, GmmlConfig(t=t)).matrix
     s_inv = spd_inverse(sc.s_mat)
 
     def cost(m):
@@ -283,7 +277,7 @@ def test_solve_weighted_minimizes_weighted_distance_cost():
 def test_solve_midpoint_minimizes_symmetric_distance_cost():
     rng = np.random.default_rng(12)
     sc = random_sc(rng, 3)
-    a = solve_plain(sc).matrix
+    a = solve(sc).matrix
     s_inv = spd_inverse(sc.s_mat)
 
     def cost(m):
@@ -297,26 +291,18 @@ def test_solve_midpoint_minimizes_symmetric_distance_cost():
         assert base <= cost(probe) + 1e-10
 
 
-def test_solve_regularized_reduces_to_weighted_at_zero_lambda():
-    rng = np.random.default_rng(13)
-    sc = random_sc(rng, 4)
-    for t in (0.2, 0.5, 0.8):
-        got = solve_regularized(sc, GmmlConfig(t=t, lam=0.0)).matrix
-        assert np.array_equal(got, solve_weighted(sc, t).matrix)
-
-
 def test_solve_regularized_large_lambda_approaches_prior():
     rng = np.random.default_rng(14)
     sc = random_sc(rng, 4)
-    a = solve_regularized(sc, GmmlConfig(t=0.5, lam=1e8)).matrix
+    a = solve(sc, GmmlConfig(t=0.5, lam=1e8)).matrix
     assert riemannian_distance(a, np.eye(4)) <= 1e-3
 
 
 def test_solve_regularized_pull_grows_with_lambda():
     rng = np.random.default_rng(15)
     sc = random_sc(rng, 4, lo=2.0, hi=6.0)
-    near = solve_regularized(sc, GmmlConfig(t=0.5, lam=100.0)).matrix
-    far = solve_regularized(sc, GmmlConfig(t=0.5, lam=0.01)).matrix
+    near = solve(sc, GmmlConfig(t=0.5, lam=100.0)).matrix
+    far = solve(sc, GmmlConfig(t=0.5, lam=0.01)).matrix
     assert riemannian_distance(near, np.eye(4)) < riemannian_distance(far, np.eye(4))
 
 
@@ -326,7 +312,7 @@ def test_solve_regularized_handles_rank_deficient_scatter():
     pairs = PairConstraints(sim_pairs=[[0, 1]], dis_pairs=[[2, 3]])
     sc = scatter_matrices(pts, pairs)
     cfg = GmmlConfig(t=0.5, lam=0.1)
-    metric = solve_regularized(sc, cfg)
+    metric = solve(sc, cfg)
     assert is_spd(metric.matrix)
     s_mod = sc.s_mat + 0.1 * np.eye(2)
     d_mod = sc.d_mat + 0.1 * np.eye(2)
@@ -339,7 +325,7 @@ def test_solve_regularized_stationarity_at_midpoint():
     rng = np.random.default_rng(16)
     sc = random_sc(rng, 4)
     lam = 0.7
-    a = solve_regularized(sc, GmmlConfig(t=0.5, lam=lam)).matrix
+    a = solve(sc, GmmlConfig(t=0.5, lam=lam)).matrix
     a_inv = spd_inverse(a)
     grad = lam * (np.eye(4) - a_inv @ a_inv) + sc.s_mat - a_inv @ sc.d_mat @ a_inv
     assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(sc.s_mat)
@@ -349,16 +335,110 @@ def test_solve_regularized_custom_prior():
     rng = np.random.default_rng(17)
     sc = random_sc(rng, 3)
     prior = rand_spd(rng, 3, 0.8, 1.2)
-    a = solve_regularized(sc, GmmlConfig(t=0.5, lam=1e8, prior=prior)).matrix
+    a = solve(sc, GmmlConfig(t=0.5, lam=1e8, prior=prior)).matrix
     assert riemannian_distance(a, prior) <= 1e-3
+
+
+def spd_with_cond(rng, d, cond, scale=1.0):
+    """Random SPD matrix whose eigenvalues span exactly [scale / cond, scale]."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    w = 10.0 ** rng.uniform(-np.log10(cond), 0.0, d)
+    if d > 1:
+        w[0], w[-1] = 1.0, 1.0 / cond
+    m = scale * (q * w) @ q.T
+    return (m + m.T) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 12),
+    log_cond_s=st.floats(0.0, 4.0),
+    log_cond_d=st.floats(0.0, 4.0),
+    log_scale=st.integers(-6, 6),
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    lam=st.one_of(st.just(0.0), st.floats(1e-4, 1e4)),
+    custom_prior=st.booleans(),
+)
+@example(seed=0, d=12, log_cond_s=4.0, log_cond_d=4.0, log_scale=0, t=0.0, lam=0.0,
+         custom_prior=False)
+@example(seed=1, d=12, log_cond_s=4.0, log_cond_d=4.0, log_scale=0, t=1.0, lam=0.0,
+         custom_prior=False)
+@example(seed=2, d=7, log_cond_s=4.0, log_cond_d=0.0, log_scale=3, t=0.5, lam=0.1,
+         custom_prior=True)
+def test_solve_matches_inverse_then_geodesic_oracle(
+    seed, d, log_cond_s, log_cond_d, log_scale, t, lam, custom_prior
+):
+    rng = np.random.default_rng(seed)
+    sc = ScatterMatrices(
+        s_mat=spd_with_cond(rng, d, 10.0**log_cond_s, 10.0**log_scale),
+        d_mat=spd_with_cond(rng, d, 10.0**log_cond_d),
+        sim_count=0,
+        dis_count=0,
+    )
+    prior = spd_with_cond(rng, d, 10.0) if custom_prior else None
+    cfg = GmmlConfig(t=t, lam=lam, prior=prior)
+    assert rel_fro(solve(sc, cfg).matrix, solve_oracle(sc, cfg)) <= 1e-9
+
+
+def _rank_two(seed, d=4):
+    x = np.random.default_rng(seed).standard_normal((2, d))
+    return x.T @ x
+
+
+@pytest.mark.parametrize("s_mat, d_mat, which", [
+    (_rank_two(30), np.eye(4), "similarity"),
+    (np.eye(4), _rank_two(31), "dissimilarity"),
+    (_rank_two(32), _rank_two(33), "similarity"),
+    (np.diag([1.0, 1e-14]), np.eye(2), "similarity"),
+], ids=["rank-deficient-S", "rank-deficient-D", "both-rank-deficient", "S-diag-1e-14"])
+def test_solve_rejects_singular_scatter_like_oracle(s_mat, d_mat, which):
+    sc = ScatterMatrices(s_mat=s_mat, d_mat=d_mat, sim_count=0, dis_count=0)
+    with pytest.raises(SingularScatter) as want:
+        solve_oracle(sc, GmmlConfig())
+    with pytest.raises(SingularScatter) as got:
+        solve(sc)
+    assert got.value.which == want.value.which == which
+
+
+def test_solve_factors_ill_conditioned_pair_the_oracle_rejects():
+    # cond(S) = cond(D) = 1e11 passes the 1e-12 relative guard. Inverting S
+    # and factoring S^{-1} again loses the small whitened eigenvalue;
+    # factoring S once keeps it.
+    def ill_conditioned(seed):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))
+        return symmetrize(q @ np.diag(np.geomspace(1.0, 1e-11, 6)) @ q.T)
+
+    sc = ScatterMatrices(s_mat=ill_conditioned(0), d_mat=ill_conditioned(1),
+                         sim_count=0, dis_count=0)
+    with pytest.raises(NotPositiveDefinite):
+        solve_oracle(sc, GmmlConfig())
+    metric = solve(sc)
+    assert metric.provenance.riccati_residual <= 1e-12
+    assert riccati_residual(metric.matrix, sc.s_mat, sc.d_mat) <= 1e-12
+
+
+def test_solve_factors_once(monkeypatch):
+    # one Cholesky of S and one eigendecomposition; the only eigvalsh is the
+    # SPD check of the result, since the scatter guard reuses the extreme
+    # eigenvalues ScatterMatrices found
+    rng = np.random.default_rng(22)
+    sc = random_sc(rng, 5)
+    calls = []
+    for name in ("cholesky", "eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
+    solve(sc)
+    assert sorted(calls) == ["cholesky", "eigh", "eigvalsh"]
 
 
 def test_solution_invariant_to_joint_scatter_scaling():
     rng = np.random.default_rng(18)
     s, d = rand_spd(rng, 4), rand_spd(rng, 4)
-    base = solve_plain(ScatterMatrices(s_mat=s, d_mat=d, sim_count=0, dis_count=0)).matrix
+    base = solve(ScatterMatrices(s_mat=s, d_mat=d, sim_count=0, dis_count=0)).matrix
     alpha = 7.3
-    scaled = solve_plain(
+    scaled = solve(
         ScatterMatrices(s_mat=alpha * s, d_mat=alpha * d, sim_count=0, dis_count=0)
     ).matrix
     assert rel_fro(scaled, base) <= 1e-10
@@ -407,7 +487,7 @@ def test_provenance_counts_and_fingerprint():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     pairs = PairConstraints(sim_pairs=[[0, 1], [2, 3]], dis_pairs=[[0, 2], [1, 3], [0, 3]])
     sc = scatter_matrices(pts, pairs)
-    metric = solve_regularized(sc, GmmlConfig(lam=0.5), fingerprint="abc123")
+    metric = solve(sc, GmmlConfig(lam=0.5), fingerprint="abc123")
     assert metric.provenance.sim_count == 2
     assert metric.provenance.dis_count == 3
     assert metric.provenance.fingerprint == "abc123"
