@@ -32,6 +32,7 @@ from .evaluation import (
     cross_validate_t,
     default_constraint_count,
     evaluate_split,
+    holdout_split,
     run_benchmark,
     sample_constraints,
 )
@@ -247,20 +248,6 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     click.echo(f"wrote metric to {out}", err=True)
 
 
-def _holdout_split(data, fraction, seed):
-    """Stratified train/test split holding out ``fraction`` of each class."""
-    rng = np.random.default_rng(seed)
-    test_parts = []
-    for cls in np.unique(data.labels):
-        idx = np.flatnonzero(data.labels == cls)
-        rng.shuffle(idx)
-        n_test = min(max(1, round(fraction * idx.size)), idx.size - 1)
-        test_parts.append(idx[:n_test])
-    test_idx = np.sort(np.concatenate(test_parts))
-    train_idx = np.setdiff1d(np.arange(data.n_points), test_idx, assume_unique=True)
-    return data.subset(train_idx), data.subset(test_idx)
-
-
 @main.command("eval")
 @click.option("--train", "train_path", type=click.Path(exists=True, dir_okay=False),
               help="Training dataset (requires --test).")
@@ -302,7 +289,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     total_start = time.perf_counter()
     if data_path is not None:
         full = gio.load_dataset(data_path, label_column=label_column)
-        train, test = _holdout_split(full, holdout, seed)
+        train, test = holdout_split(full, holdout, seed)
         source = full
     else:
         train = gio.load_dataset(train_path, label_column=label_column)

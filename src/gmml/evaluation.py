@@ -25,7 +25,7 @@ from .learn import (
     scatter_matrices,
     solve,
 )
-from .spd import cholesky
+from .spd import check_spd, cholesky
 
 DEFAULT_K = 5
 DEFAULT_COARSE_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -265,6 +265,58 @@ _BLOCK_ELEMENTS = 2**14
 # recomputed distance bit-identical to the one _distances_to_all gives on all
 # of train (tests/test_evaluation.py has an exact tie that this decides).
 _MIN_CANDIDATES = 3
+_EPS = np.finfo(float).eps
+
+
+def _one_hot(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct labels and the (n, classes) indicator matrix."""
+    classes, codes = np.unique(labels, return_inverse=True)
+    return classes, np.eye(classes.shape[0])[codes]
+
+
+def _vote_rows(
+    dists: np.ndarray, one_hot: np.ndarray, k: int, delta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar ``_vote`` of every row of ``dists`` at once, for distances
+    known only to within ``delta`` (one bound per row) of the exact ones.
+
+    Returns the column of ``one_hot`` each row votes for, and a mask of the
+    rows this cannot decide exactly: those whose (k+1)-th distance lies
+    within 2 delta of the k-th (the voters are not certain), whose vote tie
+    has its two smallest mean distances within 2 delta plus the rounding of
+    the sums, or whose distances or bound are not finite. Every other row
+    has the voters, class counts and winner the scalar rule gives on the
+    exact distances; ``k`` must already be clamped to the row length.
+    """
+    m, n = dists.shape
+    # rows with huge or non-finite distances overflow below; they are unsure
+    with np.errstate(over="ignore", invalid="ignore"):
+        rowmax = dists.max(axis=1)
+        if k < n:
+            part = np.partition(dists, k, axis=1)
+            kth = part[:, :k].max(axis=1)
+            unsure = ~(part[:, k] - kth > 2.0 * delta)
+            del part  # free the copy before the vote's own temporaries
+        else:
+            kth = rowmax
+            unsure = np.zeros(m, dtype=bool)
+        unsure |= ~np.isfinite(2.0 * (rowmax + delta))
+        voters = dists <= kth[:, None]
+        counts = voters @ one_hot
+        sums = np.where(voters, dists, 0.0) @ one_hot
+        tied = counts == counts.max(axis=1)[:, None]
+        means = np.where(tied, sums / np.maximum(counts, 1.0), np.inf)
+        # first index of the smallest mean: the smaller class of an exact tie
+        choice = np.argmin(means, axis=1)
+        contested = np.flatnonzero(tied.sum(axis=1) > 1)
+        if contested.size:
+            low2 = np.partition(means[contested], 1, axis=1)
+            d = delta[contested]
+            # a mean of up to n_voters terms, each within delta and at most
+            # |kth| + delta, rounds by less than (n_voters + 1) eps of that
+            rounding = (counts[contested].sum(axis=1) + 1.0) * _EPS * (abs(kth[contested]) + d)
+            unsure[contested] |= ~(low2[:, 1] - low2[:, 0] > 2.0 * (d + 2.0 * rounding))
+    return choice, unsure
 
 
 def _knn_labels(
@@ -284,13 +336,16 @@ def _knn_labels(
     a first-order bound on the rounding of the Cholesky factor, the
     embedding, the dot products and the einsum, with tr(A) >= ||A||_2 and
     the norms taken before embedding (an ill-conditioned L can shrink the
-    embedded norms far below the error of embedding). Every point whose
-    exact distance is at most the row's k-th exact distance then has a Gram
-    distance at most 2 delta above the row's k-th Gram distance, or above
-    its _MIN_CANDIDATES-th when k is smaller. Those candidates get their
-    exact distances back, and ``_vote`` on them sees the same voters as on
-    all of train: duplicates, ties at the k-th distance and vote ties are
-    decided the same way.
+    embedded norms far below the error of embedding). Each block is voted
+    at once by ``_vote_rows`` on the Gram distances. A row it cannot decide
+    exactly (a distance within 2 delta of the k-th, or a vote tie within
+    2 delta on mean distance) is decided by the scalar rule: every point
+    whose exact distance is at most the row's k-th exact distance has a
+    Gram distance at most 2 delta above the row's k-th Gram distance, or
+    above its _MIN_CANDIDATES-th when k is smaller. Those candidates get
+    their exact distances back, and ``_vote`` on them sees the same voters
+    as on all of train: duplicates, ties at the k-th distance and vote ties
+    are decided the same way.
 
     Raises NotPositiveDefinite when ``a`` is not symmetric or has no
     Cholesky factor.
@@ -302,31 +357,37 @@ def _knn_labels(
     if not np.array_equal(a, a.T):
         raise NotPositiveDefinite("metric is not symmetric")
     low = cholesky(a)
+    classes, one_hot = _one_hot(train_labels)
     train_emb = train_pts @ low
     train_sq = np.einsum("ij,ij->i", train_emb, train_emb)
     max_raw = np.einsum("ij,ij->i", train_pts, train_pts).max()
-    # 2 delta per unit of squared row norm
-    scale = 2.0 * (d + 3) ** 2 * np.finfo(float).eps * np.trace(a)
+    # delta per unit of squared row norm
+    scale = (d + 3) ** 2 * _EPS * np.trace(a)
     pick = min(n, max(k, _MIN_CANDIDATES)) - 1
     rows = max(1, _BLOCK_ELEMENTS // n)
     predicted = np.empty(queries.shape[0], dtype=np.int64)
     for start in range(0, queries.shape[0], rows):
         block = queries[start:start + rows]
         emb = block @ low
-        # in place: one block-sized temporary besides the partition copy
+        # in place: one block-sized temporary besides the vote's
         gram = emb @ train_emb.T
         gram *= -2.0
         gram += train_sq
         gram += np.einsum("ij,ij->i", emb, emb)[:, None]
-        kth = np.partition(gram, pick, axis=1)[:, pick]
-        slack = scale * (np.einsum("ij,ij->i", block, block) + max_raw)
+        delta = scale * (np.einsum("ij,ij->i", block, block) + max_raw)
+        choice, unsure = _vote_rows(gram, one_hot, k, delta)
+        predicted[start:start + block.shape[0]] = classes[choice]
+        if not unsure.any():
+            continue
+        redo = np.flatnonzero(unsure)
+        kth = np.partition(gram[redo], pick, axis=1)[:, pick]
         # written as "not above" so that a Gram distance that overflowed to
         # nan makes its point a candidate, measured exactly like the rest
-        near = ~(gram > (kth + slack)[:, None])
-        for i, row in enumerate(block):
+        near = ~(gram[redo] > (kth + 2.0 * delta[redo])[:, None])
+        for i, row in enumerate(redo):
             cand = np.flatnonzero(near[i])
-            dists = _distances_to_all(a, train_pts[cand], row)
-            predicted[start + i] = _vote(dists, train_labels[cand], k)
+            dists = _distances_to_all(a, train_pts[cand], block[row])
+            predicted[start + row] = _vote(dists, train_labels[cand], k)
     return predicted
 
 
@@ -439,6 +500,22 @@ def stratified_folds(labels: np.ndarray, n_folds: int, rng: np.random.Generator)
     return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
 
 
+def holdout_split(
+    data: LabeledDataset, fraction: float, seed: int
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Stratified train/test split holding out ``fraction`` of each class."""
+    rng = np.random.default_rng(seed)
+    test_parts = []
+    for cls in np.unique(data.labels):
+        idx = np.flatnonzero(data.labels == cls)
+        rng.shuffle(idx)
+        n_test = min(max(1, round(fraction * idx.size)), idx.size - 1)
+        test_parts.append(idx[:n_test])
+    test_idx = np.sort(np.concatenate(test_parts))
+    train_idx = np.setdiff1d(np.arange(data.n_points), test_idx, assume_unique=True)
+    return data.subset(train_idx), data.subset(test_idx)
+
+
 def _pick_best(scored: list[TScore]) -> float:
     alive = [s for s in scored if not s.disqualified]
     if not alive:
@@ -460,8 +537,17 @@ def cross_validate_t(
     Step one scores the coarse grid by mean CV error; step two scores a
     fine window around the coarse winner. The overall argmin wins, with
     ties broken toward the t nearest 0.5. A candidate failing any fold
-    (singular scatter) is disqualified. With ``standardize`` every fold is
-    z-scored by its own training part, as ``evaluate_split`` does.
+    (singular scatter) is disqualified; the scatters do not depend on t, so
+    a singular fold disqualifies every candidate. With ``standardize`` every
+    fold is z-scored by its own training part, as ``evaluate_split`` does.
+
+    Every candidate is a point A_t = P diag(w^t) P^T of one geodesic, so
+    each fold samples its constraints, builds its scatters and factors
+    them once: one ``solve`` at the first t scored, whose ``basis`` gives
+    every other A_t. Each (t, fold) is then classified by ``_knn_labels``
+    in the order of a loop over t then folds, with A_t checked like a
+    learned metric, so the scores, the chosen t, the warnings and any
+    exception are those of calling ``evaluate_split`` for every (t, fold).
     """
     if constraint_count is None:
         constraint_count = default_constraint_count(train.num_classes)
@@ -479,17 +565,39 @@ def cross_validate_t(
         rest = np.setdiff1d(all_idx, fold, assume_unique=True)
         splits.append((train.subset(rest), train.subset(fold), int(fold_seeds[f])))
 
+    # per fold: (train points, validation points, basis, t of the solve),
+    # or None when its scatter is singular; filled at the first t scored.
+    # Only the basis is kept, not the solved matrix, so a fold holds one
+    # d x d array between candidates.
+    fits = []
+
+    def fit(f: int, t: float):
+        cv_train, cv_val, fold_seed = splits[f]
+        train_pts, val_pts = cv_train.points, cv_val.points
+        if standardize:
+            transform = _standardizer(train_pts)
+            train_pts, val_pts = transform(train_pts), transform(val_pts)
+        pairs = sample_constraints(cv_train, constraint_count, fold_seed)
+        sc = scatter_matrices(train_pts, pairs)
+        try:
+            learned = solve(sc, replace(cfg, t=t))
+        except SingularScatter:
+            return None
+        return train_pts, val_pts, learned.basis, t
+
     def score(t: float, stage: str) -> TScore:
         errors = []
-        for cv_train, cv_val, fold_seed in splits:
-            try:
-                outcome = evaluate_split(
-                    cv_train, cv_val, replace(cfg, t=t), k, constraint_count,
-                    fold_seed, standardize=standardize,
-                )
-            except SingularScatter:
+        for f, (cv_train, cv_val, _) in enumerate(splits):
+            if f == len(fits):
+                fits.append(fit(f, t))
+            if fits[f] is None:
                 return TScore(t=t, mean_error=None, stage=stage, disqualified=True)
-            errors.append(outcome.error_rate)
+            train_pts, val_pts, basis, solved_t = fits[f]
+            a = basis.matrix(t)
+            if t != solved_t:  # solve has checked its own
+                check_spd(a, "learned metric")
+            predicted = _knn_labels(train_pts, cv_train.labels, a, val_pts, k)
+            errors.append(int(np.count_nonzero(predicted != cv_val.labels)) / cv_val.n_points)
         return TScore(t=t, mean_error=float(np.mean(errors)), stage=stage)
 
     scored = [score(t, "coarse") for t in policy.coarse_grid]

@@ -138,18 +138,37 @@ class MetricProvenance:
 
 
 @dataclass(frozen=True)
+class GeodesicBasis:
+    """The factored scatter pair behind a solve: with S = L L^T and
+    L^T D L = V diag(w) V^T, ``p`` is P = L^{-T} V and ``w`` holds the
+    eigenvalues, ascending. Every point of the geodesic is then
+    A_t = P diag(w^t) P^T.
+    """
+
+    p: np.ndarray
+    w: np.ndarray
+
+    def matrix(self, t: float) -> np.ndarray:
+        """A_t, built exactly as :func:`solve` builds its metric."""
+        return spd.symmetrize((self.p * self.w**t) @ self.p.T)
+
+
+@dataclass(frozen=True)
 class LearnedMetric:
     """An SPD Mahalanobis matrix together with its solver configuration.
 
     ``provenance.riccati_residual`` is the relative residual of
     ``A S A = D`` for the (possibly regularized) scatter pair the solver
     used; it sits at machine precision when ``t = 1/2`` and is recorded
-    as-is for other ``t``.
+    as-is for other ``t``. ``basis`` is the factorization :func:`solve`
+    derived the matrix from (None for a metric read from a file), which
+    gives the metric at any other ``t`` without factoring again.
     """
 
     matrix: np.ndarray
     config: GmmlConfig
     provenance: MetricProvenance
+    basis: GeodesicBasis | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", spd.check_spd(self.matrix, "learned metric"))
@@ -242,7 +261,7 @@ def solve(
 
     The S used is factored once as S = L L^T. With the eigendecomposition
     L^T D L = V diag(w) V^T and P = L^{-T} V, the metric is
-    A = P diag(w^t) P^T.
+    A = P diag(w^t) P^T; the result keeps (P, w) as its ``basis``.
     """
     if cfg.lam == 0.0:
         for which, (lo, hi) in sc.extreme_eigenvalues.items():
@@ -252,7 +271,9 @@ def solve(
         s_used, d_used = sc.s_mat, sc.d_mat
     else:
         a0 = cfg.prior_for_dim(sc.dim)
-        s_used = spd.symmetrize(sc.s_mat + cfg.lam * spd.spd_inverse(a0))
+        # the identity is its own inverse, bit for bit
+        a0_inv = a0 if cfg.prior is None else spd.spd_inverse(a0)
+        s_used = spd.symmetrize(sc.s_mat + cfg.lam * a0_inv)
         d_used = spd.symmetrize(sc.d_mat + cfg.lam * a0)
     low = spd.cholesky(s_used)
     w, v = spd.sym_eigen(spd.symmetrize(low.T @ d_used @ low))
@@ -261,8 +282,10 @@ def solve(
             f"dissimilarity scatter is not positive definite "
             f"(whitened min eigenvalue {w[0]:.3e})"
         )
-    p = scipy.linalg.solve_triangular(low, v, lower=True, trans="T")
-    a = spd.symmetrize((p * w**cfg.t) @ p.T)
+    basis = GeodesicBasis(
+        p=scipy.linalg.solve_triangular(low, v, lower=True, trans="T"), w=w
+    )
+    a = basis.matrix(cfg.t)
     return LearnedMetric(
         matrix=a,
         config=cfg,
@@ -272,4 +295,5 @@ def solve(
             riccati_residual=riccati_residual(a, s_used, d_used),
             fingerprint=fingerprint,
         ),
+        basis=basis,
     )

@@ -1,10 +1,12 @@
 """Shared test fixtures: random SPD factories, synthetic datasets, the
 arithmetic-harmonic-mean oracle used to cross-check geodesic midpoints, the
-inverse-then-geodesic route used to cross-check ``solve``, and the
-token-by-token dataset loader used to cross-check ``load_dataset``."""
+inverse-then-geodesic route used to cross-check ``solve``, the
+token-by-token dataset loader used to cross-check ``load_dataset``, and the
+per-candidate loop used to cross-check ``cross_validate_t``."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,14 @@ from gmml import (
     geodesic,
     spd_inverse,
     symmetrize,
+)
+from gmml.evaluation import (
+    CvResult,
+    TScore,
+    _pick_best,
+    default_constraint_count,
+    evaluate_split,
+    stratified_folds,
 )
 from gmml.io import _encode_labels
 
@@ -174,3 +184,50 @@ def load_dataset_oracle(path, label_column: int = -1) -> LabeledDataset:
     labels, label_names = _encode_labels(label_tokens)
     return LabeledDataset(points=features, labels=labels, label_names=label_names,
                           name=path.stem)
+
+
+def cross_validate_t_oracle(
+    train, policy, cfg, k, seed, constraint_count=None, standardize=False,
+) -> CvResult:
+    """Reference cross-validation: one ``evaluate_split`` per (t, fold),
+    each sampling, scattering, solving and classifying on its own.
+
+    Same contract as :func:`gmml.cross_validate_t`, which scores every t of
+    a fold from one factorization.
+    """
+    if constraint_count is None:
+        constraint_count = default_constraint_count(train.num_classes)
+    n = train.n_points
+    # fold count degrades on small data, but every fold must keep >= 2 points
+    n_folds = min(policy.cv_folds, n // 2)
+    if n_folds < 2:
+        raise ValueError(f"cross-validation needs at least 4 points, got {n}")
+    rng = np.random.default_rng(seed)
+    folds = stratified_folds(train.labels, n_folds, rng)
+    fold_seeds = rng.integers(0, 2**63 - 1, size=n_folds)
+    splits = []
+    all_idx = np.arange(n)
+    for f, fold in enumerate(folds):
+        rest = np.setdiff1d(all_idx, fold, assume_unique=True)
+        splits.append((train.subset(rest), train.subset(fold), int(fold_seeds[f])))
+
+    def score(t: float, stage: str) -> TScore:
+        errors = []
+        for cv_train, cv_val, fold_seed in splits:
+            try:
+                outcome = evaluate_split(
+                    cv_train, cv_val, replace(cfg, t=t), k, constraint_count,
+                    fold_seed, standardize=standardize,
+                )
+            except SingularScatter:
+                return TScore(t=t, mean_error=None, stage=stage, disqualified=True)
+            errors.append(outcome.error_rate)
+        return TScore(t=t, mean_error=float(np.mean(errors)), stage=stage)
+
+    scored = [score(t, "coarse") for t in policy.coarse_grid]
+    winner = _pick_best(scored)
+    already = {s.t for s in scored}
+    for t in policy.fine_grid(winner):
+        if t not in already:
+            scored.append(score(t, "fine"))
+    return CvResult(chosen_t=_pick_best(scored), scores=tuple(scored))

@@ -1,6 +1,7 @@
 import dataclasses
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from gmml import (
     CvPolicy,
+    CvResult,
     DimensionMismatch,
     GmmlConfig,
+    GmmlError,
     LabeledDataset,
     NotPositiveDefinite,
     RunRecord,
@@ -25,8 +28,17 @@ from gmml import (
     sample_constraints,
     stratified_folds,
 )
-from gmml.evaluation import TIMING_FIELDS, _distances_to_all, _knn_labels, _vote
-from helpers import make_anisotropic, make_blobs
+import gmml.evaluation as evaluation
+from gmml.evaluation import (
+    TIMING_FIELDS,
+    _distances_to_all,
+    _knn_labels,
+    _one_hot,
+    _vote,
+    _vote_rows,
+    holdout_split,
+)
+from helpers import cross_validate_t_oracle, make_anisotropic, make_blobs
 
 
 def strip_timing(report: EvalReport) -> dict:
@@ -289,6 +301,13 @@ def knn_problems(draw):
 # squared norms that overflow: Gram distances turn into nan
 @example(_problem([[1e154, 0.0], [-1e154, 0.0], [0.0, 1e154], [0.0, 0.0]], [0, 1, 1, 0],
                   np.eye(2), [[1e154, 1e154], [0.0, 1.0]], 1))
+# an exact tie at the k-th distance that the Gram expansion splits
+@example(_problem([[2.0**26 - 3, 2.0**26 - 2], [2.0**26 + 3, 2.0**26 + 2]], [0, 1], np.eye(2),
+                  [[2.0**26, 2.0**26]], 1))
+# vote ties the batched vote decides itself: by mean distance, either way
+@example(_problem([[1.0], [2.0], [-3.0], [-4.0]], [0, 0, 1, 1], np.eye(1), [[0.0]], 4))
+@example(_problem([[3.0], [4.0], [-1.0], [-2.0], [9.0]], [0, 0, 1, 1, 0], np.eye(1),
+                  [[0.0], [0.5]], 4))
 def test_batched_knn_matches_scalar_vote(problem):
     points, labels, metric, queries, k = problem
     with warnings.catch_warnings(record=True) as caught:
@@ -299,6 +318,54 @@ def test_batched_knn_matches_scalar_vote(problem):
         warnings.simplefilter("ignore")
         expected = [_vote(_distances_to_all(metric, points, q), labels, k) for q in queries]
     assert got.tolist() == expected
+
+
+@st.composite
+def vote_problems(draw):
+    """Rows of exact distances built to tie: small integers or multiples of
+    0.1, with k up to the row length and two or three classes."""
+    n = draw(st.integers(1, 10))
+    scale = draw(st.sampled_from([1.0, 0.1]))
+    rows = np.array(draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                                  min_size=1, max_size=8)), dtype=float) * scale
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return rows, labels, draw(st.integers(1, n))
+
+
+def _near_tie(row, labels, k):
+    """True when the scalar rule meets a tie at the k-th distance, or a vote
+    tie whose two smallest mean distances, in exact rational arithmetic,
+    lie within rounding of each other."""
+    ordered = np.sort(row)
+    if k < row.size and ordered[k] == ordered[k - 1]:
+        return True
+    voters = row <= ordered[k - 1]
+    classes, counts = np.unique(labels[voters], return_counts=True)
+    top = classes[counts == counts.max()]
+    means = sorted(
+        sum(map(Fraction, row[voters & (labels == c)])) / int(counts[classes == c][0])
+        for c in top
+    )
+    return len(means) > 1 and means[1] - means[0] <= 1e-12 * row.max()
+
+
+@settings(max_examples=300, deadline=None)
+@given(vote_problems())
+@example((np.array([[1.0, 4.0, 2.0, 3.0]]), np.array([0, 0, 1, 1]), 4))
+@example((np.array([[1.0, 2.0, 2.0, 3.0]]), np.array([1, 0, 1, 0]), 2))
+@example((np.array([[0.1, 0.0, 0.2, 0.3]]), np.array([0, 1, 0, 1]), 4))
+def test_vote_rows_matches_scalar_vote(problem):
+    # on exact distances (delta = 0) every row the batched vote decides must
+    # be the scalar rule's, and only a tie or a near tie within rounding may
+    # be left to the fallback
+    rows, labels, k = problem
+    classes, one_hot = _one_hot(labels)
+    choice, unsure = _vote_rows(rows, one_hot, k, np.zeros(rows.shape[0]))
+    for row, c, u in zip(rows, choice, unsure):
+        if u:
+            assert _near_tie(row, labels, k)
+        else:
+            assert classes[c] == _vote(row, labels, k)
 
 
 # ----------------------------------------------------------------- evaluate_split
@@ -457,6 +524,113 @@ def test_cv_fine_grid_window_and_clamping():
     assert min(low) >= 0.01 and max(low) <= 0.99
     high = policy.fine_grid(0.95)
     assert max(high) <= 0.99
+
+
+@st.composite
+def cv_problems(draw):
+    """Small cross-validation problems built to tie and to fail: integer or
+    0.1-spaced grid points, duplicated points, equal class sizes, collinear
+    or constant features (rank-deficient folds), k from 1 to above a fold's
+    training size, lambda 0, tiny or large, standardize on or off, and
+    small coarse and fine grids."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(4, 16))
+    coord = st.integers(-3, 3)
+    points = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)), dtype=float)
+    for i in range(n):
+        if draw(st.booleans()):
+            points[i] = points[draw(st.integers(0, n - 1))]
+    if d > 1:
+        shape = draw(st.sampled_from(["full", "collinear", "constant"]))
+        if shape == "collinear":
+            points[:, -1] = 2.0 * points[:, 0]
+        elif shape == "constant":
+            points[:, -1] = 1.0
+    points *= draw(st.sampled_from([1.0, 0.1]))
+    n_classes = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        labels = np.arange(n) % n_classes
+    else:
+        labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    policy = CvPolicy(
+        coarse_grid=draw(st.sampled_from([(0.1, 0.3, 0.5, 0.7, 0.9), (0.5,), (0.2, 0.8)])),
+        fine_count=draw(st.integers(1, 5)),
+        fine_spacing=draw(st.sampled_from([0.02, 0.1])),
+        cv_folds=draw(st.integers(2, 5)),
+    )
+    cfg = GmmlConfig(lam=draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-3, 1.0])))
+    count = draw(st.one_of(st.none(), st.integers(1, 40)))
+    return (LabeledDataset(points=points, labels=labels), policy, cfg,
+            draw(st.integers(1, n + 2)), draw(st.integers(0, 2**32 - 1)), count,
+            draw(st.booleans()))
+
+
+def _cv_outcome(fn, problem):
+    data, policy, cfg, k, seed, count, standardize = problem
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(data, policy, cfg, k, seed, count, standardize)
+        except (GmmlError, ValueError) as exc:
+            result = (type(exc), str(exc))
+    return result, {str(w.message) for w in caught if issubclass(w.category, UserWarning)}
+
+
+def _cv_problem(points, labels, scale, policy, lam, k, seed, count=None):
+    data = LabeledDataset(points=np.asarray(points, dtype=float) * scale, labels=labels)
+    return data, policy, GmmlConfig(lam=lam), k, seed, count, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(cv_problems())
+# A_t fails its SPD check at t = 0.1 on fold 1 and at t = 0.9 on fold 0:
+# the per-candidate loop meets (0.1, fold 1) first
+@example(_cv_problem([[-2, -1], [-2, 1], [-2, -3], [3, -2]], [0, 0, 0, 1], 1.0,
+                     CvPolicy(fine_count=1, cv_folds=2), 1e-13, 2, 0))
+# every fold passes at the first coarse t; A_t first fails at t = 0.9 on fold 2
+@example(_cv_problem([[-1, -2, -2], [-3, 0, -6], [1, 0, 2], [1, 0, 2], [2, -3, 4], [-3, 0, -6],
+                      [-3, 0, -6], [1, 2, 2], [1, 2, 2], [-3, 0, -6]],
+                     [1, 2, 0, 0, 1, 2, 2, 0, 1, 0], 0.1,
+                     CvPolicy(fine_count=3, cv_folds=3), 1e-13, 1, 6727620))
+# a k-th distance that ties exactly under A_t
+@example(_cv_problem([[-1, -2, 3], [-1, -2, 3], [-3, 2, 1], [-1, 3, -2], [2, 1, 1], [2, 0, -1],
+                      [1, 2, -1]], [0, 2, 1, 1, 0, 2, 0], 1.0,
+                     CvPolicy(fine_count=1, cv_folds=2), 1e-3, 1, 939217633, count=36))
+# a vote tie whose class means tie exactly under A_t
+@example(_cv_problem([[1, -2], [-3, 1], [-1, -2], [3, -3], [0, -1], [0, 3], [0, 3], [1, -2],
+                      [1, 2]], [0, 1, 2, 0, 1, 1, 1, 1, 1], 0.1,
+                     CvPolicy(fine_count=1, cv_folds=4), 1.0, 5, 1371761907, count=39))
+def test_cv_matches_per_candidate_oracle(problem):
+    got, got_warnings = _cv_outcome(cross_validate_t, problem)
+    expected, expected_warnings = _cv_outcome(cross_validate_t_oracle, problem)
+    # the chosen t and every TScore bit for bit, or the same exception
+    assert got == expected
+    if isinstance(got, CvResult) and not any(s.disqualified for s in got.scores):
+        # the k > n clamp warning of every fold the oracle classified
+        assert got_warnings == expected_warnings
+
+
+def test_cv_samples_scatters_and_solves_once_per_fold(monkeypatch):
+    calls = Counter()
+    for name in ("sample_constraints", "scatter_matrices", "solve"):
+        original = getattr(evaluation, name)
+        monkeypatch.setattr(evaluation, name,
+                            lambda *a, _f=original, _n=name, **kw: calls.update([_n]) or _f(*a, **kw))
+    data = make_anisotropic(np.random.default_rng(16), n_per_class=20)
+    result = cross_validate_t(data, CvPolicy(cv_folds=5), GmmlConfig(), k=3, seed=0)
+    assert len(result.scores) > 5
+    assert calls == {"sample_constraints": 5, "scatter_matrices": 5, "solve": 5}
+
+
+def test_holdout_split_is_stratified_and_deterministic():
+    labels = np.repeat([0, 1, 2], [10, 4, 2])
+    data = LabeledDataset(points=np.arange(16.0)[:, None], labels=labels)
+    train, test = holdout_split(data, 0.3, seed=3)
+    assert Counter(test.labels.tolist()) == {0: 3, 1: 1, 2: 1}
+    assert sorted(train.points[:, 0].tolist() + test.points[:, 0].tolist()) == list(range(16))
+    again = holdout_split(data, 0.3, seed=3)
+    assert np.array_equal(again[1].points, test.points)
 
 
 # ------------------------------------------------------------------ run_benchmark

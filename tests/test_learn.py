@@ -433,6 +433,28 @@ def test_solve_factors_once(monkeypatch):
     assert sorted(calls) == ["cholesky", "eigh", "eigvalsh"]
 
 
+def test_solve_identity_prior_factors_once(monkeypatch):
+    # lambda > 0 with the default identity prior blends in I itself, with no
+    # Cholesky of the prior; the result equals the explicit-identity solve
+    rng = np.random.default_rng(23)
+    sc = random_sc(rng, 5)
+    explicit = solve(sc, GmmlConfig(lam=0.5, prior=np.eye(5))).matrix
+    calls = []
+    original = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or original(a))
+    metric = solve(sc, GmmlConfig(lam=0.5))
+    assert len(calls) == 1
+    assert np.array_equal(metric.matrix, explicit)
+
+
+def test_solve_basis_gives_the_metric_at_every_t():
+    rng = np.random.default_rng(24)
+    sc = random_sc(rng, 4)
+    basis = solve(sc).basis
+    for t in (0.0, 0.1, 0.5, 0.93, 1.0):
+        assert np.array_equal(basis.matrix(t), solve(sc, GmmlConfig(t=t)).matrix)
+
+
 def test_solution_invariant_to_joint_scatter_scaling():
     rng = np.random.default_rng(18)
     s, d = rand_spd(rng, 4), rand_spd(rng, 4)
