@@ -22,16 +22,14 @@ import numpy as np
 
 from . import io as gio
 from .evaluation import (
-    DEFAULT_COARSE_GRID,
     DEFAULT_K,
     CvPolicy,
-    EvalReport,
-    RunRecord,
     SplitPlan,
+    _build_report,
+    _run_unit,
     _standardizer,
     cross_validate_t,
     default_constraint_count,
-    evaluate_split,
     holdout_split,
     run_benchmark,
     sample_constraints,
@@ -161,13 +159,25 @@ def _load_prior(prior: str) -> np.ndarray | None:
     return gio.load_metric(prior).matrix
 
 
-def _policy(coarse_grid, fine_count, fine_spacing, cv_folds) -> CvPolicy:
-    return CvPolicy(
-        coarse_grid=coarse_grid,
-        fine_count=fine_count,
-        fine_spacing=fine_spacing,
-        cv_folds=cv_folds,
-    )
+def _resolve(t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine_spacing):
+    """The solver config, the CV policy (None unless --t cv) and the
+    constraint count for a dataset, from the shared options. The CV options
+    are validated even when --t cv is not given."""
+    cfg = GmmlConfig(t=0.5 if t_value == "cv" else t_value, lam=lam, prior=_load_prior(prior))
+    policy = CvPolicy(coarse_grid, fine_count, fine_spacing, cv_folds)
+
+    def constraints(data) -> int:
+        return count if count is not None else default_constraint_count(max(data.num_classes, 2))
+
+    return cfg, policy if t_value == "cv" else None, constraints
+
+
+def _match_labels(test, train_names):
+    """``test`` with its labels recoded to the class codes of ``train_names``,
+    matched by token; a label missing there gets a new code after them."""
+    names = list(train_names) + [n for n in test.label_names if n not in train_names]
+    codes = np.asarray([names.index(n) for n in test.label_names])
+    return replace(test, labels=codes[test.labels], label_names=names)
 
 
 def _echo_dataset(data, fingerprint) -> None:
@@ -205,11 +215,9 @@ def main():
 def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
               count, cv_folds, coarse_grid, fine_count, fine_spacing, k, out):
     """Learn a metric from one dataset and save it."""
-    prior_matrix = _load_prior(prior)
-    cfg = GmmlConfig(
-        t=t_value if t_value != "cv" else 0.5, lam=lam, prior=prior_matrix
+    cfg, policy, constraints = _resolve(
+        t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine_spacing
     )
-    policy = _policy(coarse_grid, fine_count, fine_spacing, cv_folds)
 
     total_start = time.perf_counter()
     data = gio.load_dataset(dataset, label_column=label_column)
@@ -217,7 +225,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     if standardize:
         data = replace(data, points=_standardizer(data.points)(data.points))
     fingerprint = gio.fingerprint_dataset(data)
-    resolved_count = count if count is not None else default_constraint_count(data.num_classes)
+    resolved_count = constraints(data)
 
     _echo_dataset(data, fingerprint)
     click.echo(
@@ -226,7 +234,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
         err=True,
     )
 
-    if t_value == "cv":
+    if policy is not None:
         cv = cross_validate_t(data, policy, cfg, k, seed, constraint_count=resolved_count)
         cfg = replace(cfg, t=cv.chosen_t)
         click.echo(f"cross-validation chose t={cv.chosen_t:.4g}")
@@ -281,10 +289,9 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     if data_path is not None and not 0.0 < holdout < 1.0:
         raise click.UsageError("--holdout must lie strictly in (0, 1)")
 
-    cfg = GmmlConfig(
-        t=t_value if t_value != "cv" else 0.5, lam=lam, prior=_load_prior(prior)
+    cfg, policy, constraints = _resolve(
+        t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine_spacing
     )
-    policy = _policy(coarse_grid, fine_count, fine_spacing, cv_folds)
 
     total_start = time.perf_counter()
     if data_path is not None:
@@ -298,6 +305,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
             raise DimensionMismatch(
                 f"train has {train.n_features} features, test has {test.n_features}"
             )
+        test = _match_labels(test, train.label_names)
         source = train
     fingerprint = gio.fingerprint_dataset(source)
 
@@ -315,9 +323,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     if metric is None:
         _require_classes(train)
 
-    resolved_count = count if count is not None else default_constraint_count(
-        max(train.num_classes, 2)
-    )
+    resolved_count = constraints(train)
     _echo_dataset(source, fingerprint)
     click.echo(
         f"config: metric={metric_path or 'learned'} t={t_value} lambda={lam} "
@@ -326,60 +332,30 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
         err=True,
     )
 
-    chosen_t = None
-    if metric is None and t_value == "cv":
-        cv = cross_validate_t(
-            train, policy, cfg, k, seed, constraint_count=resolved_count,
-            standardize=standardize,
-        )
-        cfg = replace(cfg, t=cv.chosen_t)
-        chosen_t = cv.chosen_t
-        click.echo(f"cross-validation chose t={cv.chosen_t:.4g}")
-    elif metric is None:
-        chosen_t = cfg.t
-
-    outcome = evaluate_split(
-        train, test, cfg, k, resolved_count, seed,
-        metric=metric, standardize=standardize,
+    record, outcome = _run_unit(
+        train, test, policy, cfg, k, resolved_count, seed, seed,
+        metric=metric, standardize=standardize, start=total_start,
     )
-    total_time = time.perf_counter() - total_start
+    if metric is None and policy is not None:
+        click.echo(f"cross-validation chose t={record.chosen_t:.4g}")
 
     if metric_path is not None:
         t_mode = metric_path if metric_path == "identity" else "file"
     else:
-        t_mode = "cv" if t_value == "cv" else f"{cfg.t}"
-    record = RunRecord(
-        run=0, fold=0, error_rate=outcome.error_rate, chosen_t=chosen_t,
-        learn_time=outcome.learn_time, total_time=total_time,
-        n_train=train.n_points, n_test=test.n_points,
-    )
-    report = EvalReport(
-        dataset_name=source.name,
-        fingerprint=fingerprint.compact(),
-        seed=seed,
-        k=k,
-        t_mode=t_mode,
-        lam=lam,
-        constraint_count=resolved_count,
-        n_runs=1,
-        n_folds=1,
-        baseline=metric_path == "identity",
-        standardize=standardize,
-        records=(record,),
-        mean_error=outcome.error_rate,
-        std_error=0.0,
-        mean_learn_time=outcome.learn_time,
-        mean_total_time=total_time,
-        label_names=tuple(source.label_names) if source.label_names else None,
+        t_mode = "cv" if policy is not None else f"{cfg.t}"
+    report = _build_report(
+        source, [record], fingerprint=fingerprint.compact(), seed=seed, k=k,
+        t_mode=t_mode, lam=lam, constraint_count=resolved_count, n_runs=1,
+        n_folds=1, baseline=metric_path == "identity", standardize=standardize,
     )
 
     click.echo(
-        f"error rate: {outcome.error_rate:.4f} "
-        f"({round(outcome.error_rate * outcome.n_test)}/{outcome.n_test} misclassified)"
+        f"error rate: {record.error_rate:.4f} "
+        f"({round(record.error_rate * outcome.n_test)}/{outcome.n_test} misclassified)"
     )
     click.echo(
-        f"timings: learn={outcome.learn_time:.4f}s "
-        f"classify={outcome.classify_time:.4f}s total={total_time:.4f}s"
+        f"timings: learn={record.learn_time:.4f}s "
+        f"classify={outcome.classify_time:.4f}s total={record.total_time:.4f}s"
     )
     if out is not None:
         gio.write_report(report, out, fmt=fmt)
@@ -410,23 +386,16 @@ def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardiz
                   seed, t_value, lam, prior, count, cv_folds, coarse_grid,
                   fine_count, fine_spacing, k, out, fmt):
     """Repeated-split benchmark with optional CV over t."""
-    cfg = GmmlConfig(
-        t=t_value if t_value != "cv" else 0.5, lam=lam, prior=_load_prior(prior)
+    cfg, policy, constraints = _resolve(
+        t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine_spacing
     )
     plan = SplitPlan(n_runs=runs, n_folds=folds, rng_seed=seed)
-    policy = (
-        _policy(coarse_grid, fine_count, fine_spacing, cv_folds)
-        if t_value == "cv" and not baseline
-        else None
-    )
 
     data = gio.load_dataset(dataset, label_column=label_column)
     if not baseline:
         _require_classes(data)
     fingerprint = gio.fingerprint_dataset(data)
-    resolved_count = count if count is not None else default_constraint_count(
-        max(data.num_classes, 2)
-    )
+    resolved_count = constraints(data)
 
     _echo_dataset(data, fingerprint)
     click.echo(

@@ -19,8 +19,6 @@ class LabeledDataset:
         Feature rows; must be finite.
     labels : ndarray, shape (n,)
         Integer class codes, each in [0, num_classes).
-    feature_names : list of str, optional
-        Per-column feature labels.
     label_names : list of str, optional
         Original label tokens, indexed by class code (records the mapping
         applied by the loader so consumers can invert it).
@@ -30,7 +28,6 @@ class LabeledDataset:
 
     points: np.ndarray
     labels: np.ndarray
-    feature_names: list[str] | None = None
     label_names: list[str] | None = None
     name: str = ""
 
@@ -68,7 +65,6 @@ class LabeledDataset:
         return LabeledDataset(
             points=self.points[indices],
             labels=self.labels[indices],
-            feature_names=self.feature_names,
             label_names=self.label_names,
             name=self.name if name is None else name,
         )

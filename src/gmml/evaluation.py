@@ -500,6 +500,17 @@ def stratified_folds(labels: np.ndarray, n_folds: int, rng: np.random.Generator)
     return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
 
 
+def _fold_splits(
+    labels: np.ndarray, n_folds: int, rng: np.random.Generator
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, held-out) index pairs, one per fold of ``stratified_folds``."""
+    all_idx = np.arange(labels.size)
+    return [
+        (np.setdiff1d(all_idx, fold, assume_unique=True), fold)
+        for fold in stratified_folds(labels, n_folds, rng)
+    ]
+
+
 def holdout_split(
     data: LabeledDataset, fraction: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
@@ -557,13 +568,12 @@ def cross_validate_t(
     if n_folds < 2:
         raise ValueError(f"cross-validation needs at least 4 points, got {n}")
     rng = np.random.default_rng(seed)
-    folds = stratified_folds(train.labels, n_folds, rng)
+    index_splits = _fold_splits(train.labels, n_folds, rng)
     fold_seeds = rng.integers(0, 2**63 - 1, size=n_folds)
-    splits = []
-    all_idx = np.arange(n)
-    for f, fold in enumerate(folds):
-        rest = np.setdiff1d(all_idx, fold, assume_unique=True)
-        splits.append((train.subset(rest), train.subset(fold), int(fold_seeds[f])))
+    splits = [
+        (train.subset(rest), train.subset(fold), int(fold_seed))
+        for (rest, fold), fold_seed in zip(index_splits, fold_seeds)
+    ]
 
     # per fold: (train points, validation points, basis, t of the solve),
     # or None when its scatter is singular; filled at the first t scored.
@@ -609,53 +619,64 @@ def cross_validate_t(
     return CvResult(chosen_t=_pick_best(scored), scores=tuple(scored))
 
 
-def _benchmark_unit(
-    data: LabeledDataset,
-    run: int,
-    fold_idx: int,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
+def _run_unit(
+    train: LabeledDataset,
+    test: LabeledDataset,
     policy: CvPolicy | None,
     cfg: GmmlConfig,
     k: int,
     constraint_count: int,
     cv_seed: int,
     eval_seed: int,
-    baseline: bool,
-    standardize: bool,
-) -> RunRecord:
-    train = data.subset(train_idx)
-    test = data.subset(test_idx)
-    t0 = time.perf_counter()
-    try:
-        if baseline:
-            chosen_t = None
-            outcome = evaluate_split(
-                train, test, cfg, k, constraint_count, eval_seed,
-                metric=np.eye(data.n_features), standardize=standardize,
-            )
-        else:
-            if policy is not None:
-                cv = cross_validate_t(
-                    train, policy, cfg, k, cv_seed, constraint_count, standardize
-                )
-                chosen_t = cv.chosen_t
-            else:
-                chosen_t = cfg.t
-            outcome = evaluate_split(
-                train, test, replace(cfg, t=chosen_t), k, constraint_count,
-                eval_seed, standardize=standardize,
-            )
-    except GmmlError as exc:
-        return RunRecord(
-            run=run, fold=fold_idx, error_rate=None, chosen_t=None,
-            learn_time=0.0, total_time=time.perf_counter() - t0,
-            n_train=len(train_idx), n_test=len(test_idx), failure=str(exc),
-        )
-    return RunRecord(
-        run=run, fold=fold_idx, error_rate=outcome.error_rate, chosen_t=chosen_t,
-        learn_time=outcome.learn_time, total_time=time.perf_counter() - t0,
-        n_train=len(train_idx), n_test=len(test_idx),
+    *,
+    metric=None,
+    standardize: bool = False,
+    run: int = 0,
+    fold: int = 0,
+    start: float | None = None,
+) -> tuple[RunRecord, SplitOutcome]:
+    """Cross-validate t on ``train`` when ``policy`` is given and ``metric``
+    is not, then learn on ``train`` (or use the fixed ``metric``) and
+    classify ``test``. The record's ``chosen_t`` is None for a fixed metric
+    and its ``total_time`` runs from ``start`` (default: now)."""
+    if start is None:
+        start = time.perf_counter()
+    if metric is not None:
+        chosen_t = None
+    elif policy is not None:
+        chosen_t = cross_validate_t(
+            train, policy, cfg, k, cv_seed, constraint_count, standardize
+        ).chosen_t
+    else:
+        chosen_t = cfg.t
+    outcome = evaluate_split(
+        train, test, cfg if chosen_t is None else replace(cfg, t=chosen_t), k,
+        constraint_count, eval_seed, metric=metric, standardize=standardize,
+    )
+    record = RunRecord(
+        run=run, fold=fold, error_rate=outcome.error_rate, chosen_t=chosen_t,
+        learn_time=outcome.learn_time, total_time=time.perf_counter() - start,
+        n_train=train.n_points, n_test=test.n_points,
+    )
+    return record, outcome
+
+
+def _build_report(data: LabeledDataset, records, **fields) -> EvalReport:
+    """The EvalReport of ``records`` on ``data``: its name, label names and
+    the aggregates over the records are taken here, every other field from
+    ``fields``. Failed records count only toward the total time."""
+    errors = [rec.error_rate for rec in records if rec.error_rate is not None]
+    learn_times = [rec.learn_time for rec in records if rec.failure is None]
+    total_times = [rec.total_time for rec in records]
+    return EvalReport(
+        dataset_name=data.name,
+        records=tuple(records),
+        mean_error=float(np.mean(errors)) if errors else float("nan"),
+        std_error=float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0,
+        mean_learn_time=float(np.mean(learn_times)) if learn_times else 0.0,
+        mean_total_time=float(np.mean(total_times)) if total_times else 0.0,
+        label_names=tuple(data.label_names) if data.label_names else None,
+        **fields,
     )
 
 
@@ -684,25 +705,34 @@ def run_benchmark(
         raise ValueError("metric learning needs at least 2 classes")
     if constraint_count is None:
         constraint_count = default_constraint_count(max(data.num_classes, 2))
+    metric = np.eye(data.n_features) if baseline else None
 
     master = np.random.default_rng(plan.rng_seed)
     split_seeds = master.integers(0, 2**63 - 1, size=plan.n_runs)
-    unit_seeds = master.integers(0, 2**63 - 1, size=(plan.n_runs, plan.n_folds, 2))
-
-    units = []
-    all_idx = np.arange(data.n_points)
-    for r in range(plan.n_runs):
-        folds = stratified_folds(data.labels, plan.n_folds, np.random.default_rng(split_seeds[r]))
-        for f, fold in enumerate(folds):
-            rest = np.setdiff1d(all_idx, fold, assume_unique=True)
-            units.append((r, f, rest, fold, int(unit_seeds[r, f, 0]), int(unit_seeds[r, f, 1])))
+    unit_seeds = master.integers(0, 2**63 - 1, size=(plan.n_runs, plan.n_folds, 2)).tolist()
+    units = [
+        (r, f, train_idx, test_idx)
+        for r in range(plan.n_runs)
+        for f, (train_idx, test_idx) in enumerate(
+            _fold_splits(data.labels, plan.n_folds, np.random.default_rng(split_seeds[r]))
+        )
+    ]
 
     def work(unit) -> RunRecord:
-        r, f, train_idx, test_idx, cv_seed, eval_seed = unit
-        return _benchmark_unit(
-            data, r, f, train_idx, test_idx, policy, cfg, k,
-            constraint_count, cv_seed, eval_seed, baseline, standardize,
-        )
+        r, f, train_idx, test_idx = unit
+        train, test = data.subset(train_idx), data.subset(test_idx)
+        start = time.perf_counter()
+        try:
+            return _run_unit(
+                train, test, policy, cfg, k, constraint_count, *unit_seeds[r][f],
+                metric=metric, standardize=standardize, run=r, fold=f, start=start,
+            )[0]
+        except GmmlError as exc:
+            return RunRecord(
+                run=r, fold=f, error_rate=None, chosen_t=None,
+                learn_time=0.0, total_time=time.perf_counter() - start,
+                n_train=train.n_points, n_test=test.n_points, failure=str(exc),
+            )
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -710,25 +740,9 @@ def run_benchmark(
     else:
         records = [work(u) for u in units]
 
-    errors = [rec.error_rate for rec in records if rec.error_rate is not None]
-    learn_times = [rec.learn_time for rec in records if rec.failure is None]
-    total_times = [rec.total_time for rec in records]
-    return EvalReport(
-        dataset_name=data.name,
-        fingerprint=fingerprint,
-        seed=plan.rng_seed,
-        k=k,
+    return _build_report(
+        data, records, fingerprint=fingerprint, seed=plan.rng_seed, k=k,
         t_mode="cv" if (policy is not None and not baseline) else f"{cfg.t}",
-        lam=cfg.lam,
-        constraint_count=constraint_count,
-        n_runs=plan.n_runs,
-        n_folds=plan.n_folds,
-        baseline=baseline,
-        standardize=standardize,
-        records=tuple(records),
-        mean_error=float(np.mean(errors)) if errors else float("nan"),
-        std_error=float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0,
-        mean_learn_time=float(np.mean(learn_times)) if learn_times else 0.0,
-        mean_total_time=float(np.mean(total_times)) if total_times else 0.0,
-        label_names=tuple(data.label_names) if data.label_names else None,
+        lam=cfg.lam, constraint_count=constraint_count, n_runs=plan.n_runs,
+        n_folds=plan.n_folds, baseline=baseline, standardize=standardize,
     )

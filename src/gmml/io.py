@@ -194,12 +194,12 @@ def _encode_labels(tokens: list[str]) -> tuple[np.ndarray, list[str]]:
     return codes, list(mapping)
 
 
-def save_metric(metric: LearnedMetric, path, fingerprint: DatasetFingerprint | None = None) -> None:
+def save_metric(metric: LearnedMetric, path) -> None:
     """Write a learned metric as a versioned text document.
 
     Stores the full matrix row-major at round-trip precision together with
     the solver configuration echo, the self-check residual, pair counts,
-    a creation timestamp, and the dataset fingerprint when available.
+    a creation timestamp, and the provenance's dataset fingerprint, if any.
     """
     m = metric.matrix
     prov = metric.provenance

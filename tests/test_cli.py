@@ -200,14 +200,60 @@ def test_eval_train_test_dimension_mismatch(runner, blobs_csv, tmp_path):
     assert result.exit_code == 3
 
 
-def test_eval_writes_report(runner, blobs_csv, tmp_path):
+@pytest.mark.parametrize("args, t_mode, baseline, chosen_t", [
+    (["--metric", "identity"], "identity", True, None),
+    (["--metric", "FILE"], "file", False, None),
+    (["--t", "0.3"], "0.3", False, 0.3),
+    (["--t", "cv"], "cv", False, "printed"),
+], ids=["identity", "metric-file", "fixed-t", "cv"])
+def test_eval_writes_report(runner, blobs_csv, tmp_path, args, t_mode, baseline, chosen_t):
+    metric_path = tmp_path / "m.gmml"
+    assert runner.invoke(main, ["learn", str(blobs_csv), "--out", str(metric_path)]).exit_code == 0
+    args = [str(metric_path) if a == "FILE" else a for a in args]
     out = tmp_path / "rep.json"
-    result = runner.invoke(main, ["eval", "--data", str(blobs_csv),
+    result = runner.invoke(main, ["eval", "--data", str(blobs_csv), *args,
                                   "--out", str(out)])
-    assert result.exit_code == 0
+    assert result.exit_code == 0, all_text(result)
     doc = json.loads(out.read_text())
     assert doc["n_runs"] == 1 and len(doc["records"]) == 1
-    assert doc["records"][0]["chosen_t"] == 0.5
+    (record,) = doc["records"]
+    assert (doc["t_mode"], doc["baseline"]) == (t_mode, baseline)
+    if chosen_t == "printed":
+        assert f"cross-validation chose t={record['chosen_t']:.4g}\n" in result.stdout
+    else:
+        assert record["chosen_t"] == chosen_t
+    assert doc["mean_error"] == record["error_rate"]
+    assert doc["std_error"] == 0.0
+    assert doc["mean_learn_time"] == record["learn_time"]
+    assert doc["mean_total_time"] == record["total_time"]
+
+
+def cluster(rng, centre, label, n):
+    return "".join(f"{centre[0] + rng.normal()},{centre[1] + rng.normal()},{label}\n"
+                   for _ in range(n))
+
+
+@pytest.mark.parametrize("train_labels, test_labels, wrong", [
+    ("012", "21", 0),
+    ("abc", "cb", 0),
+    ("012", "13", 5),
+    ("abc", "bd", 5),
+], ids=["int", "string", "int-unseen", "string-unseen"])
+def test_eval_train_test_labels_match_by_token(runner, tmp_path, train_labels, test_labels,
+                                               wrong):
+    # the test file lacks the first training class and lists its labels in
+    # another order, so each file coded on its own would disagree; a label
+    # the training file never uses sits on the first class and is always wrong
+    rng = np.random.default_rng(12)
+    centres = dict(zip(train_labels, ((0.0, 0.0), (20.0, 0.0), (0.0, 20.0))))
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text("".join(cluster(rng, centres[lab], lab, 10) for lab in train_labels))
+    test.write_text("".join(cluster(rng, centres.get(lab, centres[train_labels[0]]), lab, 5)
+                            for lab in test_labels))
+    result = runner.invoke(main, ["eval", "--train", str(train), "--test", str(test),
+                                  "--metric", "identity"])
+    assert result.exit_code == 0, all_text(result)
+    assert f"({wrong}/10 misclassified)" in result.stdout
 
 
 def test_eval_cv_report_total_time_includes_cross_validation(runner, blobs_csv, tmp_path):
@@ -322,6 +368,21 @@ def test_benchmark_json_stdout_is_pure_json(runner, blobs_csv):
     doc = json.loads(result.stdout)
     assert len(doc["records"]) == 2
     assert "config:" in result.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["learn"],
+    ["eval", "--data"],
+    ["benchmark", "--t", "0.5", "--runs", "1"],
+], ids=["learn", "eval", "benchmark"])
+def test_cv_folds_below_two_exits_with_argument_code(runner, blobs_csv, tmp_path, command):
+    # the CV options are checked on every command, --t cv or not
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*command, str(blobs_csv), "--cv-folds", "1",
+                                  "--out", str(out)])
+    assert result.exit_code == 2, all_text(result)
+    assert "cv_folds must be >= 2" in all_text(result)
+    assert not out.exists()
 
 
 def test_help_screens(runner):
