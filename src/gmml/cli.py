@@ -48,6 +48,14 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to sys.stdout, or to sys.stderr with ``err``, passed
+    as the file. Left to look the stream up itself, click 8.4 caches it in
+    a map whose entries keep their stream alive, so every redirected
+    stdout or stderr would outlive the call."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _guard(fn):
     """Map package exceptions to the documented exit codes."""
 
@@ -56,16 +64,16 @@ def _guard(fn):
         try:
             return fn(*args, **kwargs)
         except SingularScatter as exc:
-            click.echo(f"error: {exc} (hint: increase --lambda)", err=True)
+            _echo(f"error: {exc} (hint: increase --lambda)", err=True)
             sys.exit(EXIT_NUMERICAL)
         except (NotPositiveDefinite, ConvergenceError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except (DataError, DimensionMismatch, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DATA)
         except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_ARGUMENT)
 
     return wrapper
@@ -181,7 +189,7 @@ def _match_labels(test, train_names):
 
 
 def _echo_dataset(data, fingerprint) -> None:
-    click.echo(
+    _echo(
         f"config: dataset={data.name} n={data.n_points} d={data.n_features} "
         f"c={data.num_classes} fingerprint={fingerprint.content_hash}",
         err=True,
@@ -228,7 +236,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     resolved_count = constraints(data)
 
     _echo_dataset(data, fingerprint)
-    click.echo(
+    _echo(
         f"config: t={t_value} lambda={lam} prior={prior} constraints={resolved_count} "
         f"k={k} seed={seed} standardize={standardize}",
         err=True,
@@ -237,7 +245,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     if policy is not None:
         cv = cross_validate_t(data, policy, cfg, k, seed, constraint_count=resolved_count)
         cfg = replace(cfg, t=cv.chosen_t)
-        click.echo(f"cross-validation chose t={cv.chosen_t:.4g}")
+        _echo(f"cross-validation chose t={cv.chosen_t:.4g}")
 
     learn_start = time.perf_counter()
     pairs = sample_constraints(data, resolved_count, seed)
@@ -247,13 +255,13 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
 
     gio.save_metric(metric, out)
     total_time = time.perf_counter() - total_start
-    click.echo(
+    _echo(
         f"learned metric: dim={metric.dim} t={cfg.t:.4g} "
         f"sim_pairs={sc.sim_count} dis_pairs={sc.dis_count} "
         f"riccati_residual={metric.provenance.riccati_residual:.3e}"
     )
-    click.echo(f"timings: learn={learn_time:.4f}s total={total_time:.4f}s")
-    click.echo(f"wrote metric to {out}", err=True)
+    _echo(f"timings: learn={learn_time:.4f}s total={total_time:.4f}s")
+    _echo(f"wrote metric to {out}", err=True)
 
 
 @main.command("eval")
@@ -325,7 +333,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
 
     resolved_count = constraints(train)
     _echo_dataset(source, fingerprint)
-    click.echo(
+    _echo(
         f"config: metric={metric_path or 'learned'} t={t_value} lambda={lam} "
         f"prior={prior} constraints={resolved_count} k={k} seed={seed} "
         f"standardize={standardize} train_n={train.n_points} test_n={test.n_points}",
@@ -337,7 +345,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
         metric=metric, standardize=standardize, start=total_start,
     )
     if metric is None and policy is not None:
-        click.echo(f"cross-validation chose t={record.chosen_t:.4g}")
+        _echo(f"cross-validation chose t={record.chosen_t:.4g}")
 
     if metric_path is not None:
         t_mode = metric_path if metric_path == "identity" else "file"
@@ -349,17 +357,17 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
         n_folds=1, baseline=metric_path == "identity", standardize=standardize,
     )
 
-    click.echo(
+    _echo(
         f"error rate: {record.error_rate:.4f} "
         f"({round(record.error_rate * outcome.n_test)}/{outcome.n_test} misclassified)"
     )
-    click.echo(
+    _echo(
         f"timings: learn={record.learn_time:.4f}s "
         f"classify={outcome.classify_time:.4f}s total={record.total_time:.4f}s"
     )
     if out is not None:
         gio.write_report(report, out, fmt=fmt)
-        click.echo(f"wrote report to {out}", err=True)
+        _echo(f"wrote report to {out}", err=True)
 
 
 @main.command("benchmark")
@@ -398,7 +406,7 @@ def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardiz
     resolved_count = constraints(data)
 
     _echo_dataset(data, fingerprint)
-    click.echo(
+    _echo(
         f"config: runs={runs} folds={folds} k={k} t={t_value} lambda={lam} "
         f"prior={prior} constraints={resolved_count} baseline={baseline} "
         f"cv_folds={cv_folds} coarse_grid={','.join(str(g) for g in coarse_grid)} "
@@ -414,18 +422,18 @@ def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardiz
     )
 
     if fmt == "json":
-        click.echo(json.dumps(gio.report_to_dict(report), indent=2))
+        _echo(json.dumps(gio.report_to_dict(report), indent=2))
     else:
-        click.echo(gio.format_report_table(report))
+        _echo(gio.format_report_table(report))
 
     for rec in report.records:
         if rec.failure is not None:
-            click.echo(f"run {rec.run} fold {rec.fold} failed: {rec.failure}", err=True)
+            _echo(f"run {rec.run} fold {rec.fold} failed: {rec.failure}", err=True)
     if out is not None:
         gio.write_report(report, out, fmt="json")
-        click.echo(f"wrote report to {out}", err=True)
+        _echo(f"wrote report to {out}", err=True)
     if report.n_failures == len(report.records):
-        click.echo("error: every run failed", err=True)
+        _echo("error: every run failed", err=True)
         sys.exit(EXIT_NUMERICAL)
 
 

@@ -25,7 +25,7 @@ from .learn import (
     scatter_matrices,
     solve,
 )
-from .spd import check_spd, cholesky
+from .spd import check_spd, cholesky, spd_mask
 
 DEFAULT_K = 5
 DEFAULT_COARSE_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -258,8 +258,12 @@ def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
 
 
 # A block of queries gets about this many query x train distances at once,
-# which caps the classifier's temporary memory whatever the test set size.
+# over all metrics of a stack, which caps the classifier's temporary memory
+# whatever the test set size.
 _BLOCK_ELEMENTS = 2**14
+# A stack of metrics is classified in chunks whose train embeddings (one
+# n x d copy of train per metric) hold at most about this many floats.
+_EMBED_ELEMENTS = 2**18
 # numpy's einsum sums a two-feature row in another order when it is given
 # fewer than three rows, so recomputing at least three candidates keeps every
 # recomputed distance bit-identical to the one _distances_to_all gives on all
@@ -323,71 +327,85 @@ def _knn_labels(
     train_pts: np.ndarray, train_labels: np.ndarray, a: np.ndarray,
     queries: np.ndarray, k: int,
 ) -> np.ndarray:
-    """k-NN labels of the rows of ``queries``, each decided exactly as
-    ``_vote(_distances_to_all(a, train_pts, q), train_labels, k)`` would.
+    """k-NN labels of the rows of ``queries`` under every metric of the
+    (T, d, d) stack ``a``: entry (t, i) of the (T, q) result is decided
+    exactly as ``_vote(_distances_to_all(a[t], train_pts, queries[i]),
+    train_labels, k)`` would decide it.
 
-    Train and queries are embedded once by the Cholesky factor A = L L^T,
-    so that d_A(x, y) = ||xL||^2 + ||yL||^2 - 2 (xL).(yL), one GEMM per
-    block of queries. That Gram distance g differs from the exact distance
-    e of ``_distances_to_all`` by at most
+    Train and queries are embedded by the Cholesky factors A_t = L_t L_t^T
+    of the whole stack, factored at once, so that
+    d_t(x, y) = ||xL_t||^2 + ||yL_t||^2 - 2 (xL_t).(yL_t), one stacked GEMM
+    per block of queries. That Gram distance g differs from the exact
+    distance e of ``_distances_to_all`` by at most
 
-        delta = (d + 3)^2 * eps * tr(A) * (||x||^2 + max_y ||y||^2),
+        delta_t = (d + 3)^2 * eps * tr(A_t) * (||x||^2 + max_y ||y||^2),
 
     a first-order bound on the rounding of the Cholesky factor, the
-    embedding, the dot products and the einsum, with tr(A) >= ||A||_2 and
-    the norms taken before embedding (an ill-conditioned L can shrink the
-    embedded norms far below the error of embedding). Each block is voted
-    at once by ``_vote_rows`` on the Gram distances. A row it cannot decide
-    exactly (a distance within 2 delta of the k-th, or a vote tie within
-    2 delta on mean distance) is decided by the scalar rule: every point
-    whose exact distance is at most the row's k-th exact distance has a
-    Gram distance at most 2 delta above the row's k-th Gram distance, or
+    embedding, the dot products and the einsum, with tr(A_t) >= ||A_t||_2
+    and the norms taken before embedding (an ill-conditioned L_t can shrink
+    the embedded norms far below the error of embedding). A block's
+    (T, rows, n) Gram distances are voted at once by ``_vote_rows``, as
+    T * rows rows each with its own delta. A row it cannot decide exactly
+    (a distance within 2 delta of the k-th, or a vote tie within 2 delta on
+    mean distance) is decided by the scalar rule under its own A_t: every
+    point whose exact distance is at most the row's k-th exact distance has
+    a Gram distance at most 2 delta above the row's k-th Gram distance, or
     above its _MIN_CANDIDATES-th when k is smaller. Those candidates get
     their exact distances back, and ``_vote`` on them sees the same voters
     as on all of train: duplicates, ties at the k-th distance and vote ties
-    are decided the same way.
+    are decided the same way. The stack is embedded in chunks of at most
+    _EMBED_ELEMENTS train floats, and a block holds about _BLOCK_ELEMENTS
+    distances, so memory stays bounded whatever T and the query count.
 
-    Raises NotPositiveDefinite when ``a`` is not symmetric or has no
-    Cholesky factor.
+    Raises NotPositiveDefinite when a matrix of ``a`` is not symmetric or
+    has no Cholesky factor.
     """
     n, d = train_pts.shape
     if k > n:
         warnings.warn(f"k={k} exceeds {n} training points; clamping to {n}")
         k = n
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, a.swapaxes(1, 2)):
         raise NotPositiveDefinite("metric is not symmetric")
     low = cholesky(a)
     classes, one_hot = _one_hot(train_labels)
-    train_emb = train_pts @ low
-    train_sq = np.einsum("ij,ij->i", train_emb, train_emb)
     max_raw = np.einsum("ij,ij->i", train_pts, train_pts).max()
-    # delta per unit of squared row norm
-    scale = (d + 3) ** 2 * _EPS * np.trace(a)
+    query_raw = np.einsum("ij,ij->i", queries, queries) + max_raw
+    # delta per unit of squared row norm, one per metric
+    scale = (d + 3) ** 2 * _EPS * np.trace(a, axis1=1, axis2=2)
     pick = min(n, max(k, _MIN_CANDIDATES)) - 1
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    predicted = np.empty(queries.shape[0], dtype=np.int64)
-    for start in range(0, queries.shape[0], rows):
-        block = queries[start:start + rows]
-        emb = block @ low
-        # in place: one block-sized temporary besides the vote's
-        gram = emb @ train_emb.T
-        gram *= -2.0
-        gram += train_sq
-        gram += np.einsum("ij,ij->i", emb, emb)[:, None]
-        delta = scale * (np.einsum("ij,ij->i", block, block) + max_raw)
-        choice, unsure = _vote_rows(gram, one_hot, k, delta)
-        predicted[start:start + block.shape[0]] = classes[choice]
-        if not unsure.any():
-            continue
-        redo = np.flatnonzero(unsure)
-        kth = np.partition(gram[redo], pick, axis=1)[:, pick]
-        # written as "not above" so that a Gram distance that overflowed to
-        # nan makes its point a candidate, measured exactly like the rest
-        near = ~(gram[redo] > (kth + 2.0 * delta[redo])[:, None])
-        for i, row in enumerate(redo):
-            cand = np.flatnonzero(near[i])
-            dists = _distances_to_all(a, train_pts[cand], block[row])
-            predicted[start + row] = _vote(dists, train_labels[cand], k)
+    predicted = np.empty((a.shape[0], queries.shape[0]), dtype=np.int64)
+    per_chunk = max(1, _EMBED_ELEMENTS // (n * d))
+    for first in range(0, a.shape[0], per_chunk):
+        chunk = low[first:first + per_chunk]
+        m = chunk.shape[0]
+        train_emb = train_pts @ chunk
+        train_sq = np.einsum("tij,tij->ti", train_emb, train_emb)
+        rows = max(1, _BLOCK_ELEMENTS // (n * m))
+        for start in range(0, queries.shape[0], rows):
+            block = queries[start:start + rows]
+            r = block.shape[0]
+            emb = block @ chunk
+            # in place: one block-sized temporary besides the vote's
+            gram = emb @ train_emb.transpose(0, 2, 1)
+            gram *= -2.0
+            gram += train_sq[:, None, :]
+            gram += np.einsum("tij,tij->ti", emb, emb)[:, :, None]
+            gram = gram.reshape(m * r, n)
+            delta = np.outer(scale[first:first + m], query_raw[start:start + r]).ravel()
+            choice, unsure = _vote_rows(gram, one_hot, k, delta)
+            predicted[first:first + m, start:start + r] = classes[choice].reshape(m, r)
+            if not unsure.any():
+                continue
+            redo = np.flatnonzero(unsure)
+            kth = np.partition(gram[redo], pick, axis=1)[:, pick]
+            # written as "not above" so that a Gram distance that overflowed to
+            # nan makes its point a candidate, measured exactly like the rest
+            near = ~(gram[redo] > (kth + 2.0 * delta[redo])[:, None])
+            for i, flat in enumerate(redo):
+                t, row = divmod(int(flat), r)
+                cand = np.flatnonzero(near[i])
+                dists = _distances_to_all(a[first + t], train_pts[cand], block[row])
+                predicted[first + t, start + row] = _vote(dists, train_labels[cand], k)
     return predicted
 
 
@@ -407,12 +425,12 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
         raise ValueError(f"k must be >= 1, got {k}")
     a = metric.matrix if isinstance(metric, LearnedMetric) else np.asarray(metric, dtype=float)
     query = np.asarray(query, dtype=float).ravel()
-    if a.shape[0] != train.n_features or query.shape[0] != train.n_features:
+    if a.ndim != 2 or a.shape[0] != train.n_features or query.shape[0] != train.n_features:
         raise DimensionMismatch(
             f"metric dim {a.shape[0]}, query dim {query.shape[0]}, "
             f"data dim {train.n_features}"
         )
-    return int(_knn_labels(train.points, train.labels, a, query[None, :], k)[0])
+    return int(_knn_labels(train.points, train.labels, a[None], query[None, :], k)[0, 0])
 
 
 def _standardizer(train_points: np.ndarray):
@@ -463,14 +481,14 @@ def evaluate_split(
         a = learned.matrix
     else:
         a = metric.matrix if isinstance(metric, LearnedMetric) else np.asarray(metric, dtype=float)
-        if a.shape[0] != train.n_features:
+        if a.ndim != 2 or a.shape[0] != train.n_features:
             raise DimensionMismatch(
                 f"metric dim {a.shape[0]} vs data dim {train.n_features}"
             )
     learn_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    predicted = _knn_labels(train_pts, train.labels, a, test_pts, k)
+    predicted = _knn_labels(train_pts, train.labels, a[None], test_pts, k)[0]
     wrong = int(np.count_nonzero(predicted != test.labels))
     classify_time = time.perf_counter() - t1
 
@@ -527,6 +545,19 @@ def holdout_split(
     return data.subset(train_idx), data.subset(test_idx)
 
 
+# Errors cross_validate_t records per (t, fold) and raises in replay order.
+_REPLAYED = (GmmlError, ValueError)
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the error it raised, which ``cross_validate_t``
+    raises once its replay reaches the (t, fold) that raised it."""
+    try:
+        return fn(*args)
+    except _REPLAYED as exc:
+        return exc
+
+
 def _pick_best(scored: list[TScore]) -> float:
     alive = [s for s in scored if not s.disqualified]
     if not alive:
@@ -554,11 +585,15 @@ def cross_validate_t(
 
     Every candidate is a point A_t = P diag(w^t) P^T of one geodesic, so
     each fold samples its constraints, builds its scatters and factors
-    them once: one ``solve`` at the first t scored, whose ``basis`` gives
-    every other A_t. Each (t, fold) is then classified by ``_knn_labels``
-    in the order of a loop over t then folds, with A_t checked like a
-    learned metric, so the scores, the chosen t, the warnings and any
-    exception are those of calling ``evaluate_split`` for every (t, fold).
+    them once: one ``solve`` at the first coarse t, whose ``basis`` gives
+    every other A_t. Per fold, a stage's matrices are checked like a
+    learned metric by one stacked eigenvalue guard (``check_spd`` runs only
+    on a matrix the guard rejects, for its error) and classified by one
+    ``_knn_labels`` call on the stack. The outcome of every (t, fold), an
+    error rate, a disqualified fold or an exception, is then replayed in
+    the order of a loop over t then folds, so the scores, the chosen t, the
+    warnings and the first exception are those of calling
+    ``evaluate_split`` for every (t, fold).
     """
     if constraint_count is None:
         constraint_count = default_constraint_count(train.num_classes)
@@ -575,10 +610,10 @@ def cross_validate_t(
         for (rest, fold), fold_seed in zip(index_splits, fold_seeds)
     ]
 
-    # per fold: (train points, validation points, basis, t of the solve),
-    # or None when its scatter is singular; filled at the first t scored.
-    # Only the basis is kept, not the solved matrix, so a fold holds one
-    # d x d array between candidates.
+    # per fold: (train points, validation points, basis), None when its
+    # scatter is singular, or the exception fitting raised; filled at the
+    # first t scored. Only the basis is kept, not the solved matrix, so a
+    # fold holds one d x d array between stages.
     fits = []
 
     def fit(f: int, t: float):
@@ -593,29 +628,66 @@ def cross_validate_t(
             learned = solve(sc, replace(cfg, t=t))
         except SingularScatter:
             return None
-        return train_pts, val_pts, learned.basis, t
+        return train_pts, val_pts, learned.basis
 
-    def score(t: float, stage: str) -> TScore:
-        errors = []
-        for f, (cv_train, cv_val, _) in enumerate(splits):
+    def classify(f: int, ts: tuple[float, ...]) -> list:
+        """The error rate, or the exception raised, of every t on fold f."""
+        cv_train, cv_val, _ = splits[f]
+        train_pts, val_pts, basis = fits[f]
+        stack = np.stack([basis.matrix(t) for t in ts])
+        outcomes: list = [None] * len(ts)
+        passed = spd_mask(stack)
+        for i in np.flatnonzero(~passed):
+            outcomes[i] = _attempt(check_spd, stack[i], "learned metric")
+            passed[i] = not isinstance(outcomes[i], Exception)
+        keep = np.flatnonzero(passed)
+        if keep.size == 0:
+            return outcomes
+        try:
+            labels = list(_knn_labels(train_pts, cv_train.labels, stack[keep], val_pts, k))
+        except _REPLAYED:
+            # a matrix without a Cholesky factor, say: classifying one matrix
+            # at a time finds which, and replay raises its error at its own t
+            labels = [_attempt(_knn_labels, train_pts, cv_train.labels, stack[i:i + 1],
+                               val_pts, k) for i in keep]
+        for i, predicted in zip(keep, labels):
+            outcomes[i] = predicted if isinstance(predicted, Exception) else (
+                int(np.count_nonzero(predicted != cv_val.labels)) / cv_val.n_points
+            )
+        return outcomes
+
+    def score(ts: tuple[float, ...], stage: str) -> list[TScore]:
+        """Scores of every t of a stage: each fold's stack is classified at
+        once, then the outcomes are replayed t by t, fold by fold."""
+        by_fold = []
+        for f in range(n_folds):
             if f == len(fits):
-                fits.append(fit(f, t))
-            if fits[f] is None:
-                return TScore(t=t, mean_error=None, stage=stage, disqualified=True)
-            train_pts, val_pts, basis, solved_t = fits[f]
-            a = basis.matrix(t)
-            if t != solved_t:  # solve has checked its own
-                check_spd(a, "learned metric")
-            predicted = _knn_labels(train_pts, cv_train.labels, a, val_pts, k)
-            errors.append(int(np.count_nonzero(predicted != cv_val.labels)) / cv_val.n_points)
-        return TScore(t=t, mean_error=float(np.mean(errors)), stage=stage)
+                fits.append(_attempt(fit, f, ts[0]))
+            if not isinstance(fits[f], tuple):
+                # the loop over t stops at this fold, so never reaches the next
+                by_fold.append([fits[f]] * len(ts))
+                break
+            by_fold.append(classify(f, ts))
+        scores = []
+        for i, t in enumerate(ts):
+            errors = []
+            for outcomes in by_fold:
+                if isinstance(outcomes[i], Exception):
+                    raise outcomes[i]
+                if outcomes[i] is None:
+                    scores.append(TScore(t=t, mean_error=None, stage=stage, disqualified=True))
+                    break
+                errors.append(outcomes[i])
+            else:
+                scores.append(TScore(t=t, mean_error=float(np.mean(errors)), stage=stage))
+        return scores
 
-    scored = [score(t, "coarse") for t in policy.coarse_grid]
+    scored = score(policy.coarse_grid, "coarse")
     winner = _pick_best(scored)
     already = {s.t for s in scored}
-    for t in policy.fine_grid(winner):
-        if t not in already:
-            scored.append(score(t, "fine"))
+    fine = tuple(t for t in policy.fine_grid(winner) if t not in already)
+    if fine:
+        scored += score(fine, "fine")
     return CvResult(chosen_t=_pick_best(scored), scores=tuple(scored))
 
 
@@ -742,7 +814,7 @@ def run_benchmark(
 
     return _build_report(
         data, records, fingerprint=fingerprint, seed=plan.rng_seed, k=k,
-        t_mode="cv" if (policy is not None and not baseline) else f"{cfg.t}",
+        t_mode="identity" if baseline else "cv" if policy is not None else f"{cfg.t}",
         lam=cfg.lam, constraint_count=constraint_count, n_runs=plan.n_runs,
         n_folds=plan.n_folds, baseline=baseline, standardize=standardize,
     )

@@ -83,7 +83,7 @@ def check_spd(a, name: str = "matrix", tol: float = SPD_TOLERANCE) -> np.ndarray
     if not np.array_equal(a, a.T):
         raise NotPositiveDefinite(f"{name} is not symmetric")
     w = np.linalg.eigvalsh(a)
-    if not (w[-1] > 0 and w[0] > tol * w[-1]):
+    if not _relative_guard(w, tol):
         raise NotPositiveDefinite(
             f"{name} is not positive definite "
             f"(min eigenvalue {w[0]:.3e}, max {w[-1]:.3e})"
@@ -91,12 +91,34 @@ def check_spd(a, name: str = "matrix", tol: float = SPD_TOLERANCE) -> np.ndarray
     return a
 
 
-def cholesky(a) -> np.ndarray:
-    """Lower-triangular L with L L^T = a.
+def _relative_guard(w: np.ndarray, tol: float) -> np.ndarray:
+    """The positive-definiteness guard on ascending eigenvalues (..., d)."""
+    return (w[..., -1] > 0) & (w[..., 0] > tol * w[..., -1])
 
-    Raises NotPositiveDefinite when a pivot fails (the matrix is not SPD).
+
+def spd_mask(stack: np.ndarray, tol: float = SPD_TOLERANCE) -> np.ndarray:
+    """Which matrices of a (T, d, d) stack :func:`check_spd` accepts, from
+    one stacked ``eigvalsh``: the same exact-symmetry test and relative
+    guard. A stack the eigensolver fails on reads as all rejected, so that
+    ``check_spd`` of each matrix gives its own outcome.
     """
-    a = as_square(a, "cholesky input")
+    symmetric = (stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
+    try:
+        w = np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError:
+        return np.zeros(stack.shape[0], dtype=bool)
+    return symmetric & _relative_guard(w, tol)
+
+
+def cholesky(a) -> np.ndarray:
+    """Lower-triangular L with L L^T = a, or for a (T, d, d) stack of
+    matrices the stack of their factors.
+
+    Raises NotPositiveDefinite when a pivot fails (a matrix is not SPD).
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        a = as_square(a, "cholesky input")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
+import gc
+import io
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -358,6 +362,32 @@ def test_benchmark_baseline_flag(runner, blobs_csv, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["baseline"] is True
     assert all(rec["chosen_t"] is None for rec in doc["records"])
+
+
+@pytest.mark.parametrize("t_args", [[], ["--t", "cv"]], ids=["fixed-t", "cv"])
+def test_benchmark_baseline_records_identity_t_mode(runner, blobs_csv, tmp_path, t_args):
+    out = tmp_path / "rep.json"
+    result = runner.invoke(main, ["benchmark", str(blobs_csv), "--baseline", *t_args,
+                                  "--runs", "1", "--out", str(out)])
+    assert result.exit_code == 0, all_text(result)
+    doc = json.loads(out.read_text())
+    assert (doc["t_mode"], doc["baseline"]) == ("identity", True)
+    assert all(rec["chosen_t"] is None for rec in doc["records"])
+
+
+def test_main_frees_redirected_output(tmp_path):
+    # click caches the stream it looks up for itself and never frees it;
+    # each in-process call would then keep its whole output alive
+    data = tmp_path / "blobs.csv"
+    write_csv(data, make_blobs(np.random.default_rng(0), n_per_class=10))
+    out, err = io.StringIO(), io.StringIO()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        main(["eval", "--data", str(data), "--metric", "identity"], standalone_mode=False)
+    assert "error rate:" in out.getvalue() and "config:" in err.getvalue()
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_benchmark_json_stdout_is_pure_json(runner, blobs_csv):

@@ -2,6 +2,7 @@ import dataclasses
 import warnings
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from gmml.evaluation import (
     _vote_rows,
     holdout_split,
 )
+from gmml.learn import GeodesicBasis
 from helpers import cross_validate_t_oracle, make_anisotropic, make_blobs
 
 
@@ -240,9 +242,16 @@ def test_knn_rejects_non_spd_metric():
 
 # ------------------------------------------- batched k-NN against the scalar rule
 
-def _problem(points, labels, metric, queries, k):
-    return (np.asarray(points, dtype=float), np.asarray(labels),
-            np.asarray(metric, dtype=float), np.asarray(queries, dtype=float), k)
+def _problem(points, labels, metrics, queries, k, block_elements=evaluation._BLOCK_ELEMENTS,
+             embed_elements=evaluation._EMBED_ELEMENTS):
+    """A stacked k-NN problem; one (d, d) metric is a stack of one. The two
+    budgets stand in for the classifier's memory caps, so that small
+    problems also split into several query blocks and metric chunks."""
+    metrics = np.asarray(metrics, dtype=float)
+    if metrics.ndim == 2:
+        metrics = metrics[None]
+    return (np.asarray(points, dtype=float), np.asarray(labels), metrics,
+            np.asarray(queries, dtype=float), k, block_elements, embed_elements)
 
 
 @st.composite
@@ -250,7 +259,9 @@ def knn_problems(draw):
     """Small k-NN problems built to tie: integer grids (exact arithmetic) or
     0.1-spaced grids, duplicated training points, queries on training
     points, large offsets that make the Gram expansion cancel, k up to
-    n + 2, and identity, ill-conditioned, near-singular or random metrics."""
+    n + 2, and stacks of 1 to 6 identity, ill-conditioned, near-singular or
+    random metrics. The memory caps are the classifier's own or small enough
+    that n T exceeds the block budget and the stack splits into chunks."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(1, 12))
     coord = st.integers(-3, 3)
@@ -270,20 +281,28 @@ def knn_problems(draw):
     offset = draw(st.sampled_from([0.0, 2.0**20, 2.0**26]))
     points, queries = points * scale + offset, queries * scale + offset
 
-    kind = draw(st.sampled_from(["identity", "ill", "near-singular", "random"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "identity":
-        metric = np.eye(d)
-    elif kind == "ill":
-        metric = np.diag(rng.permutation(np.logspace(-8, 8, d)))
-    elif kind == "near-singular":
-        v = rng.standard_normal(d)
-        metric = np.outer(v, v) + 1e-8 * np.eye(d)
-    else:
-        m = rng.standard_normal((d, d))
-        metric = m @ m.T + 0.1 * np.eye(d)
+    metrics = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["identity", "ill", "near-singular", "random"]))
+        if kind == "identity":
+            metrics.append(np.eye(d))
+        elif kind == "ill":
+            metrics.append(np.diag(rng.permutation(np.logspace(-8, 8, d))))
+        elif kind == "near-singular":
+            v = rng.standard_normal(d)
+            metrics.append(np.outer(v, v) + 1e-8 * np.eye(d))
+        else:
+            m = rng.standard_normal((d, d))
+            metrics.append(m @ m.T + 0.1 * np.eye(d))
     labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    return _problem(points, labels, metric, queries, draw(st.integers(1, n + 2)))
+    n_metrics = len(metrics)
+    block_elements = draw(st.one_of(st.just(evaluation._BLOCK_ELEMENTS),
+                                    st.integers(1, n * n_metrics * len(queries))))
+    embed_elements = draw(st.one_of(st.just(evaluation._EMBED_ELEMENTS),
+                                    st.integers(1, n * d * n_metrics)))
+    return _problem(points, labels, metrics, queries, draw(st.integers(1, n + 2)),
+                    block_elements, embed_elements)
 
 
 @settings(max_examples=300, deadline=None)
@@ -308,16 +327,37 @@ def knn_problems(draw):
 @example(_problem([[1.0], [2.0], [-3.0], [-4.0]], [0, 0, 1, 1], np.eye(1), [[0.0]], 4))
 @example(_problem([[3.0], [4.0], [-1.0], [-2.0], [9.0]], [0, 0, 1, 1, 0], np.eye(1),
                   [[0.0], [0.5]], 4))
+# a stack whose metrics tie on different queries: in one chunk with blocks
+# of two queries, and in chunks of two metrics and one with one-query blocks
+@example(_problem([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -2.0]], [0, 1, 1, 0],
+                  [np.eye(2), np.diag([4.0, 1.0]), np.diag([1.0, 0.25])],
+                  [[0.0, 0.0], [1.0, 1.0], [0.5, 0.0]], 2, block_elements=24))
+@example(_problem([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -2.0]], [0, 1, 1, 0],
+                  [np.eye(2), np.diag([4.0, 1.0]), np.diag([1.0, 0.25])],
+                  [[0.0, 0.0], [1.0, 1.0], [0.5, 0.0]], 2, block_elements=1, embed_elements=16))
 def test_batched_knn_matches_scalar_vote(problem):
-    points, labels, metric, queries, k = problem
-    with warnings.catch_warnings(record=True) as caught:
+    points, labels, metrics, queries, k, block_elements, embed_elements = problem
+    with (mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block_elements),
+          mock.patch.object(evaluation, "_EMBED_ELEMENTS", embed_elements),
+          warnings.catch_warnings(record=True) as caught):
         warnings.simplefilter("always")
-        got = _knn_labels(points, labels, metric, queries, k)
+        got = _knn_labels(points, labels, metrics, queries, k)
     assert (k > len(points)) == any(issubclass(w.category, UserWarning) for w in caught)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        expected = [_vote(_distances_to_all(metric, points, q), labels, k) for q in queries]
+        expected = [[_vote(_distances_to_all(a, points, q), labels, k) for q in queries]
+                    for a in metrics]
     assert got.tolist() == expected
+
+
+def test_knn_stack_with_a_middle_metric_without_cholesky_factor_raises():
+    points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+    with pytest.raises(NotPositiveDefinite, match="Cholesky"):
+        _knn_labels(points, np.array([0, 1, 0]), stack, points, 1)
+    stack[1] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(NotPositiveDefinite, match="symmetric"):
+        _knn_labels(points, np.array([0, 1, 0]), stack, points, 1)
 
 
 @st.composite
@@ -621,6 +661,82 @@ def test_cv_samples_scatters_and_solves_once_per_fold(monkeypatch):
     result = cross_validate_t(data, CvPolicy(cv_folds=5), GmmlConfig(), k=3, seed=0)
     assert len(result.scores) > 5
     assert calls == {"sample_constraints": 5, "scatter_matrices": 5, "solve": 5}
+
+
+def test_cv_classifies_each_stage_in_one_knn_call_per_fold(monkeypatch):
+    stacks, accepted = [], []
+    knn_labels, check_spd = evaluation._knn_labels, evaluation.check_spd
+
+    def counting_knn(train_pts, train_labels, a, queries, k):
+        stacks.append(a.shape[0])
+        return knn_labels(train_pts, train_labels, a, queries, k)
+
+    def recording_check(a, name):
+        try:
+            check_spd(a, name)
+        except NotPositiveDefinite:
+            accepted.append(False)
+            raise
+        accepted.append(True)
+        return a
+
+    monkeypatch.setattr(evaluation, "_knn_labels", counting_knn)
+    monkeypatch.setattr(evaluation, "check_spd", recording_check)
+    data = make_anisotropic(np.random.default_rng(16), n_per_class=20)
+    result = cross_validate_t(data, CvPolicy(cv_folds=5), GmmlConfig(), k=3, seed=0)
+    fine = sum(s.stage == "fine" for s in result.scores)
+    assert fine > 0
+    assert stacks == [5] * 5 + [fine] * 5
+    assert accepted == []
+
+    # A_0.9 fails the guard on fold 2, so only check_spd there gives its error
+    stacks.clear()
+    data = LabeledDataset(points=0.1 * np.array(
+        [[-1, -2, -2], [-3, 0, -6], [1, 0, 2], [1, 0, 2], [2, -3, 4], [-3, 0, -6],
+         [-3, 0, -6], [1, 2, 2], [1, 2, 2], [-3, 0, -6]], dtype=float),
+        labels=[1, 2, 0, 0, 1, 2, 2, 0, 1, 0])
+    with pytest.raises(NotPositiveDefinite, match="learned metric is not positive definite"):
+        cross_validate_t(data, CvPolicy(fine_count=3, cv_folds=3), GmmlConfig(lam=1e-13),
+                         k=1, seed=6727620)
+    assert len(stacks) == 3
+    assert accepted and not any(accepted)
+
+
+def test_cv_raises_a_cholesky_failure_at_the_oracles_t_and_fold(monkeypatch):
+    # A_0.5 on fold 1 and A_0.3 on fold 2 pass the eigenvalue guard but get
+    # no Cholesky factor. Fold 1's stack meets its failure first; the loop
+    # over t then folds meets (0.3, fold 2) first, and so must the replay.
+    poison = {(0.3, 2): None, (0.5, 1): None}
+    calls = Counter()
+    matrix, cholesky = GeodesicBasis.matrix, np.linalg.cholesky
+
+    def poisoned_matrix(self, t):
+        a = matrix(self, t)
+        # one call per fold and t, in fold order, on both paths
+        if (t, calls[t]) in poison:
+            poison[t, calls[t]] = a.tobytes()
+        calls[t] += 1
+        return a
+
+    def failing_cholesky(a):
+        for m in np.reshape(a, (-1,) + np.shape(a)[-2:]):
+            for (t, fold), raw in poison.items():
+                if m.tobytes() == raw:
+                    raise np.linalg.LinAlgError(f"poisoned A_{t} of fold {fold}")
+        return cholesky(a)
+
+    monkeypatch.setattr(GeodesicBasis, "matrix", poisoned_matrix)
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    problem = (make_anisotropic(np.random.default_rng(3), n_per_class=15),
+               CvPolicy(fine_count=3, cv_folds=3), GmmlConfig(), 3, 0, None, False)
+    got, _ = _cv_outcome(cross_validate_t, problem)
+    assert set(poison) == {(0.3, 2), (0.5, 1)} and None not in poison.values()
+    calls.clear()
+    poison.update({key: None for key in poison})
+    expected, _ = _cv_outcome(cross_validate_t_oracle, problem)
+    assert got == expected == (
+        NotPositiveDefinite, "Cholesky factorization failed: poisoned A_0.3 of fold 2"
+    )
 
 
 def test_holdout_split_is_stratified_and_deterministic():
