@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import click
 import numpy as np
@@ -26,13 +26,13 @@ from .evaluation import (
     CvPolicy,
     SplitPlan,
     _build_report,
+    _learn,
     _run_unit,
-    _standardizer,
+    _standardize,
     cross_validate_t,
     default_constraint_count,
     holdout_split,
     run_benchmark,
-    sample_constraints,
 )
 from .exceptions import (
     ConvergenceError,
@@ -41,7 +41,7 @@ from .exceptions import (
     NotPositiveDefinite,
     SingularScatter,
 )
-from .learn import GmmlConfig, scatter_matrices, solve
+from .learn import GmmlConfig
 
 EXIT_ARGUMENT = 2
 EXIT_DATA = 3
@@ -231,7 +231,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     data = gio.load_dataset(dataset, label_column=label_column)
     _require_classes(data)
     if standardize:
-        data = replace(data, points=_standardizer(data.points)(data.points))
+        data = replace(data, points=_standardize(data.points)[0])
     fingerprint = gio.fingerprint_dataset(data)
     resolved_count = constraints(data)
 
@@ -248,16 +248,14 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
         _echo(f"cross-validation chose t={cv.chosen_t:.4g}")
 
     learn_start = time.perf_counter()
-    pairs = sample_constraints(data, resolved_count, seed)
-    sc = scatter_matrices(data, pairs)
-    metric = solve(sc, cfg, fingerprint=fingerprint.compact())
+    metric = _learn(data, data.points, cfg, resolved_count, seed, fingerprint.compact())
     learn_time = time.perf_counter() - learn_start
 
     gio.save_metric(metric, out)
     total_time = time.perf_counter() - total_start
     _echo(
         f"learned metric: dim={metric.dim} t={cfg.t:.4g} "
-        f"sim_pairs={sc.sim_count} dis_pairs={sc.dis_count} "
+        f"sim_pairs={metric.provenance.sim_count} dis_pairs={metric.provenance.dis_count} "
         f"riccati_residual={metric.provenance.riccati_residual:.3e}"
     )
     _echo(f"timings: learn={learn_time:.4f}s total={total_time:.4f}s")
@@ -422,7 +420,7 @@ def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardiz
     )
 
     if fmt == "json":
-        _echo(json.dumps(gio.report_to_dict(report), indent=2))
+        _echo(json.dumps(asdict(report), indent=2))
     else:
         _echo(gio.format_report_table(report))
 

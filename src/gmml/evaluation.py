@@ -25,7 +25,7 @@ from .learn import (
     scatter_matrices,
     solve,
 )
-from .spd import check_spd, cholesky, spd_mask
+from .spd import as_square, check_spd, cholesky, spd_mask
 
 DEFAULT_K = 5
 DEFAULT_COARSE_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -357,9 +357,11 @@ def _knn_labels(
     _EMBED_ELEMENTS train floats, and a block holds about _BLOCK_ELEMENTS
     distances, so memory stays bounded whatever T and the query count.
 
-    Raises NotPositiveDefinite when a matrix of ``a`` is not symmetric or
-    has no Cholesky factor.
+    Raises ValueError when k < 1, and NotPositiveDefinite when a matrix of
+    ``a`` is not symmetric or has no Cholesky factor.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     n, d = train_pts.shape
     if k > n:
         warnings.warn(f"k={k} exceeds {n} training points; clamping to {n}")
@@ -419,26 +421,45 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
     classifier as ``evaluate_split``, as a batch of one row, and is decided
     exactly as the scalar rule decides it.
 
-    Raises NotPositiveDefinite when ``metric`` is not SPD.
+    Raises DimensionMismatch when ``metric`` or ``query`` does not fit the
+    data, and NotPositiveDefinite when ``metric`` is not SPD.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    a = metric.matrix if isinstance(metric, LearnedMetric) else np.asarray(metric, dtype=float)
+    a = _metric_array(metric, train.n_features)
     query = np.asarray(query, dtype=float).ravel()
-    if a.ndim != 2 or a.shape[0] != train.n_features or query.shape[0] != train.n_features:
+    if query.shape[0] != train.n_features:
         raise DimensionMismatch(
-            f"metric dim {a.shape[0]}, query dim {query.shape[0]}, "
-            f"data dim {train.n_features}"
+            f"query dim {query.shape[0]} vs data dim {train.n_features}"
         )
     return int(_knn_labels(train.points, train.labels, a[None], query[None, :], k)[0, 0])
 
 
-def _standardizer(train_points: np.ndarray):
-    """Z-scoring transform fitted on the training fold only."""
-    mu = train_points.mean(axis=0)
-    sigma = train_points.std(axis=0)
+def _metric_array(metric, dim: int) -> np.ndarray:
+    """The matrix of a fixed ``metric`` (an array or LearnedMetric), which
+    must be ``dim`` x ``dim`` (DimensionMismatch otherwise)."""
+    a = as_square(metric.matrix if isinstance(metric, LearnedMetric) else metric, "metric")
+    if a.shape[0] != dim:
+        raise DimensionMismatch(f"metric dim {a.shape[0]} vs data dim {dim}")
+    return a
+
+
+def _standardize(train_pts: np.ndarray, *others: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``train_pts`` and every array of ``others`` z-scored by the
+    statistics of ``train_pts`` alone (a constant feature is only centred)."""
+    mu = train_pts.mean(axis=0)
+    sigma = train_pts.std(axis=0)
     sigma = np.where(sigma > 0, sigma, 1.0)
-    return lambda pts: (pts - mu) / sigma
+    return tuple((pts - mu) / sigma for pts in (train_pts, *others))
+
+
+def _learn(
+    train: LabeledDataset, points: np.ndarray, cfg: GmmlConfig, count: int, seed: int,
+    fingerprint: str | None = None,
+) -> LearnedMetric:
+    """The closed-form learn step: sample ``count`` pairs of ``train`` with
+    ``seed``, build their scatters over ``points`` (train's points, z-scored
+    or not) and solve for the metric of ``cfg``."""
+    pairs = sample_constraints(train, count, seed)
+    return solve(scatter_matrices(points, pairs), cfg, fingerprint)
 
 
 def evaluate_split(
@@ -456,8 +477,9 @@ def evaluate_split(
     Constraints are sampled from the training fold only. When ``metric``
     is given (an SPD array or LearnedMetric) learning is skipped, which
     provides the plain-Euclidean baseline via an identity matrix; one that
-    is not SPD raises NotPositiveDefinite. Test points are classified by
-    the rule of ``knn_predict``.
+    is not SPD raises NotPositiveDefinite, and one that is not square of the
+    data's dimension DimensionMismatch. Test points are classified by the
+    rule of ``knn_predict``.
     """
     if train.n_features != test.n_features:
         raise DimensionMismatch(
@@ -465,26 +487,19 @@ def evaluate_split(
         )
     train_pts, test_pts = train.points, test.points
     if standardize:
-        transform = _standardizer(train_pts)
-        train_pts, test_pts = transform(train_pts), transform(test_pts)
+        train_pts, test_pts = _standardize(train_pts, test_pts)
 
     learned = None
     t0 = time.perf_counter()
     if metric is None:
-        pairs = sample_constraints(train, constraint_count, seed)
-        sc = scatter_matrices(train_pts, pairs)
         try:
-            learned = solve(sc, cfg)
+            learned = _learn(train, train_pts, cfg, constraint_count, seed)
         except SingularScatter as exc:
             where = f" (dataset {train.name})" if train.name else ""
             raise SingularScatter(exc.which, f"while learning{where}") from exc
         a = learned.matrix
     else:
-        a = metric.matrix if isinstance(metric, LearnedMetric) else np.asarray(metric, dtype=float)
-        if a.ndim != 2 or a.shape[0] != train.n_features:
-            raise DimensionMismatch(
-                f"metric dim {a.shape[0]} vs data dim {train.n_features}"
-            )
+        a = _metric_array(metric, train.n_features)
     learn_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -545,13 +560,14 @@ def holdout_split(
     return data.subset(train_idx), data.subset(test_idx)
 
 
-# Errors cross_validate_t records per (t, fold) and raises in replay order.
+# Classification errors cross_validate_t records per (t, fold) and raises
+# when its walk reaches that (t, fold).
 _REPLAYED = (GmmlError, ValueError)
 
 
 def _attempt(fn, *args):
     """``fn(*args)``, or the error it raised, which ``cross_validate_t``
-    raises once its replay reaches the (t, fold) that raised it."""
+    raises once its walk reaches the (t, fold) that raised it."""
     try:
         return fn(*args)
     except _REPLAYED as exc:
@@ -585,15 +601,17 @@ def cross_validate_t(
 
     Every candidate is a point A_t = P diag(w^t) P^T of one geodesic, so
     each fold samples its constraints, builds its scatters and factors
-    them once: one ``solve`` at the first coarse t, whose ``basis`` gives
-    every other A_t. Per fold, a stage's matrices are checked like a
-    learned metric by one stacked eigenvalue guard (``check_spd`` runs only
-    on a matrix the guard rejects, for its error) and classified by one
-    ``_knn_labels`` call on the stack. The outcome of every (t, fold), an
-    error rate, a disqualified fold or an exception, is then replayed in
-    the order of a loop over t then folds, so the scores, the chosen t, the
-    warnings and the first exception are those of calling
-    ``evaluate_split`` for every (t, fold).
+    them once: one ``solve`` at the first t scored, whose ``basis`` gives
+    every other A_t. A stage walks its (t, fold) pairs in the order of a
+    loop over t then folds. The first time the walk reaches a fold, it fits
+    the fold if no earlier stage did and classifies the fold's whole stage:
+    its matrices are checked like a learned metric by one stacked
+    eigenvalue guard (``check_spd`` runs only on a matrix the guard
+    rejects, for its error) and classified by one ``_knn_labels`` call on
+    the stack. A fitting error raises where it is met; a classification
+    error is recorded per t and raised when the walk reaches its t. So the
+    scores, the chosen t, the warnings and the first exception are those of
+    calling ``evaluate_split`` for every (t, fold).
     """
     if constraint_count is None:
         constraint_count = default_constraint_count(train.num_classes)
@@ -610,22 +628,18 @@ def cross_validate_t(
         for (rest, fold), fold_seed in zip(index_splits, fold_seeds)
     ]
 
-    # per fold: (train points, validation points, basis), None when its
-    # scatter is singular, or the exception fitting raised; filled at the
-    # first t scored. Only the basis is kept, not the solved matrix, so a
-    # fold holds one d x d array between stages.
+    # per fold: (train points, validation points, basis), or None when its
+    # scatter is singular. Only the basis is kept, not the solved matrix, so
+    # a fold holds one d x d array between stages.
     fits = []
 
     def fit(f: int, t: float):
         cv_train, cv_val, fold_seed = splits[f]
         train_pts, val_pts = cv_train.points, cv_val.points
         if standardize:
-            transform = _standardizer(train_pts)
-            train_pts, val_pts = transform(train_pts), transform(val_pts)
-        pairs = sample_constraints(cv_train, constraint_count, fold_seed)
-        sc = scatter_matrices(train_pts, pairs)
+            train_pts, val_pts = _standardize(train_pts, val_pts)
         try:
-            learned = solve(sc, replace(cfg, t=t))
+            learned = _learn(cv_train, train_pts, replace(cfg, t=t), constraint_count, fold_seed)
         except SingularScatter:
             return None
         return train_pts, val_pts, learned.basis
@@ -647,7 +661,7 @@ def cross_validate_t(
             labels = list(_knn_labels(train_pts, cv_train.labels, stack[keep], val_pts, k))
         except _REPLAYED:
             # a matrix without a Cholesky factor, say: classifying one matrix
-            # at a time finds which, and replay raises its error at its own t
+            # at a time finds which, and the walk raises its error at its t
             labels = [_attempt(_knn_labels, train_pts, cv_train.labels, stack[i:i + 1],
                                val_pts, k) for i in keep]
         for i, predicted in zip(keep, labels):
@@ -657,27 +671,24 @@ def cross_validate_t(
         return outcomes
 
     def score(ts: tuple[float, ...], stage: str) -> list[TScore]:
-        """Scores of every t of a stage: each fold's stack is classified at
-        once, then the outcomes are replayed t by t, fold by fold."""
+        """Scores of every t of a stage, walked t by t, fold by fold. A
+        singular fold stops the walk at every t, so the walk first reaches
+        each fold it reaches at all at the stage's first t."""
         by_fold = []
-        for f in range(n_folds):
-            if f == len(fits):
-                fits.append(_attempt(fit, f, ts[0]))
-            if not isinstance(fits[f], tuple):
-                # the loop over t stops at this fold, so never reaches the next
-                by_fold.append([fits[f]] * len(ts))
-                break
-            by_fold.append(classify(f, ts))
         scores = []
         for i, t in enumerate(ts):
             errors = []
-            for outcomes in by_fold:
-                if isinstance(outcomes[i], Exception):
-                    raise outcomes[i]
-                if outcomes[i] is None:
+            for f in range(n_folds):
+                if f == len(fits):
+                    fits.append(fit(f, t))
+                if fits[f] is None:
                     scores.append(TScore(t=t, mean_error=None, stage=stage, disqualified=True))
                     break
-                errors.append(outcomes[i])
+                if f == len(by_fold):
+                    by_fold.append(classify(f, ts))
+                if isinstance(by_fold[f][i], Exception):
+                    raise by_fold[f][i]
+                errors.append(by_fold[f][i])
             else:
                 scores.append(TScore(t=t, mean_error=float(np.mean(errors)), stage=stage))
         return scores
@@ -701,18 +712,16 @@ def _run_unit(
     cv_seed: int,
     eval_seed: int,
     *,
+    start: float,
     metric=None,
     standardize: bool = False,
     run: int = 0,
     fold: int = 0,
-    start: float | None = None,
 ) -> tuple[RunRecord, SplitOutcome]:
     """Cross-validate t on ``train`` when ``policy`` is given and ``metric``
     is not, then learn on ``train`` (or use the fixed ``metric``) and
     classify ``test``. The record's ``chosen_t`` is None for a fixed metric
-    and its ``total_time`` runs from ``start`` (default: now)."""
-    if start is None:
-        start = time.perf_counter()
+    and its ``total_time`` runs from ``start``."""
     if metric is not None:
         chosen_t = None
     elif policy is not None:
@@ -771,10 +780,17 @@ def run_benchmark(
     run). When ``policy`` is given, t is cross-validated on the training
     part of every split; otherwise cfg.t is used as-is. Failures are
     recorded per unit without aborting the remaining runs. Deterministic
-    given plan.rng_seed, up to wall-clock fields.
+    given plan.rng_seed, up to wall-clock fields. Every fold must hold at
+    least 2 points, so the data needs n >= 2 * plan.n_folds (ValueError
+    otherwise).
     """
     if not baseline and data.num_classes < 2:
         raise ValueError("metric learning needs at least 2 classes")
+    if data.n_points < 2 * plan.n_folds:
+        raise ValueError(
+            f"{plan.n_folds} folds need at least {2 * plan.n_folds} points, "
+            f"got {data.n_points}"
+        )
     if constraint_count is None:
         constraint_count = default_constraint_count(max(data.num_classes, 2))
     metric = np.eye(data.n_features) if baseline else None

@@ -293,14 +293,6 @@ def load_metric(path) -> LearnedMetric:
         raise CorruptMatrix(f"{path}: stored matrix fails the SPD check: {exc}") from exc
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    out = dataclasses.asdict(report)
-    out["records"] = [dataclasses.asdict(r) for r in report.records]
-    if report.label_names is not None:
-        out["label_names"] = list(report.label_names)
-    return out
-
-
 def report_from_dict(doc: dict) -> EvalReport:
     records = tuple(RunRecord(**r) for r in doc["records"])
     fields = {k: v for k, v in doc.items() if k != "records" and k != "label_names"}
@@ -349,7 +341,7 @@ def write_report(reports, path, fmt: str = "table") -> None:
     if fmt == "table":
         _atomic_write(path, format_report_table(reports) + "\n")
     elif fmt == "json":
-        doc = report_to_dict(reports) if single else [report_to_dict(r) for r in reports]
+        doc = dataclasses.asdict(reports) if single else [dataclasses.asdict(r) for r in reports]
         _atomic_write(path, json.dumps(doc, indent=2) + "\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")

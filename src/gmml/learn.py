@@ -224,8 +224,7 @@ def objective(a, sc: ScatterMatrices) -> float:
     a = spd.as_square(a, "metric")
     if a.shape[0] != sc.dim:
         raise DimensionMismatch(f"metric dim {a.shape[0]} vs scatter dim {sc.dim}")
-    low = spd.cholesky(spd.symmetrize(a))
-    a_inv = scipy.linalg.cho_solve((low, True), np.eye(sc.dim))
+    a_inv = spd.spd_inverse(spd.symmetrize(a))
     return float(np.sum(a * sc.s_mat) + np.sum(a_inv * sc.d_mat))
 
 
@@ -265,7 +264,7 @@ def solve(
     """
     if cfg.lam == 0.0:
         for which, (lo, hi) in sc.extreme_eigenvalues.items():
-            if not (hi > 0 and lo > spd.SPD_TOLERANCE * hi):
+            if not spd._relative_guard(np.array((lo, hi)), spd.SPD_TOLERANCE):
                 ratio = lo / hi if hi > 0 else lo
                 raise SingularScatter(which, f"relative min eigenvalue {ratio:.3e}")
         s_used, d_used = sc.s_mat, sc.d_mat

@@ -12,8 +12,6 @@ before returning, so floating-point asymmetry never accumulates.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
 
@@ -22,17 +20,6 @@ from .exceptions import ConvergenceError, DimensionMismatch, NotPositiveDefinite
 # Relative positive-definiteness guard: min eigenvalue must exceed
 # SPD_TOLERANCE times the max eigenvalue.
 SPD_TOLERANCE = 1e-12
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectral factorization of a symmetric matrix, V diag(w) V^T.
-
-    ``eigenvalues`` are sorted ascending; column ``eigenvectors[:, i]``
-    pairs with ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:
@@ -63,14 +50,12 @@ def symmetrize(m) -> np.ndarray:
 
 
 def is_spd(a: np.ndarray, tol: float = SPD_TOLERANCE) -> bool:
-    """True iff ``a`` is symmetric with min eigenvalue > tol * max eigenvalue."""
+    """True iff ``a`` is symmetric with min eigenvalue > tol * max eigenvalue
+    (False when the eigensolver fails), as :func:`spd_mask` decides it."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    if not np.array_equal(a, a.T):
-        return False
-    w = np.linalg.eigvalsh(a)
-    return bool(w[-1] > 0 and w[0] > tol * w[-1])
+    return bool(spd_mask(a[None], tol)[0])
 
 
 def check_spd(a, name: str = "matrix", tol: float = SPD_TOLERANCE) -> np.ndarray:
@@ -125,18 +110,19 @@ def cholesky(a) -> np.ndarray:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
 
 
-def sym_eigen(m) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
+def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a symmetric matrix: numpy's ``eigh``
+    result, eigenvalues ``w`` ascending, column ``v[:, i]`` paired with
+    ``w[i]``.
 
     Raises ConvergenceError if the underlying symmetric solver fails to
     converge (a sign of numerical pathology in the input).
     """
     a = as_square(m, "eigen input")
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 def spd_power(a, t: float) -> np.ndarray:
@@ -147,7 +133,7 @@ def spd_power(a, t: float) -> np.ndarray:
     """
     a = as_square(a, "power input")
     w, v = sym_eigen(symmetrize(a))
-    if not (w[-1] > 0 and w[0] > SPD_TOLERANCE * w[-1]):
+    if not _relative_guard(w, SPD_TOLERANCE):
         raise NotPositiveDefinite(
             f"power input is not positive definite (min eigenvalue {w[0]:.3e})"
         )
@@ -162,11 +148,11 @@ def spd_inverse(a) -> np.ndarray:
     return symmetrize(inv)
 
 
-def _whiten(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L^{-1} x L^{-T} for y = L L^T, symmetrized."""
+def _whiten(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, L^{-1} x L^{-T}) for y = L L^T, the second symmetrized."""
     low = cholesky(y)
     z = scipy.linalg.solve_triangular(low, x, lower=True)
-    return symmetrize(scipy.linalg.solve_triangular(low, z.T, lower=True).T)
+    return low, symmetrize(scipy.linalg.solve_triangular(low, z.T, lower=True).T)
 
 
 def geodesic(a, b, t: float) -> np.ndarray:
@@ -184,9 +170,7 @@ def geodesic(a, b, t: float) -> np.ndarray:
     _require_same_dim(a, b, "geodesic endpoints")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"geodesic parameter t must be in [0, 1], got {t}")
-    low = cholesky(a)
-    z = scipy.linalg.solve_triangular(low, b, lower=True)
-    m = symmetrize(scipy.linalg.solve_triangular(low, z.T, lower=True).T)
+    low, m = _whiten(a, b)
     w, v = sym_eigen(m)
     if w[0] <= 0:
         raise NotPositiveDefinite(
@@ -207,8 +191,7 @@ def riemannian_distance(x, y) -> float:
     x = as_square(x, "distance operand x")
     y = as_square(y, "distance operand y")
     _require_same_dim(x, y, "distance operands")
-    m = _whiten(y, x)
-    w = np.linalg.eigvalsh(m)
+    w = np.linalg.eigvalsh(_whiten(y, x)[1])
     if w[0] <= 0:
         raise NotPositiveDefinite(
             f"distance operand is not positive definite "
@@ -225,13 +208,11 @@ def sld_divergence(a, a0) -> float:
     a = as_square(a, "divergence operand a")
     a0 = as_square(a0, "divergence operand a0")
     _require_same_dim(a, a0, "divergence operands")
-    d = a.shape[0]
-    low_a = cholesky(a)
-    low_a0 = cholesky(a0)
+    a_inv = spd_inverse(a)
     # trace(a a0^{-1}) as the elementwise product with the explicit inverse
-    t1 = float(np.sum(a * scipy.linalg.cho_solve((low_a0, True), np.eye(d))))
-    t2 = float(np.sum(a0 * scipy.linalg.cho_solve((low_a, True), np.eye(d))))
-    return max(t1 + t2 - 2 * d, 0.0)
+    t1 = float(np.sum(a * spd_inverse(a0)))
+    t2 = float(np.sum(a0 * a_inv))
+    return max(t1 + t2 - 2 * a.shape[0], 0.0)
 
 
 def loewner_less(a, b) -> bool:

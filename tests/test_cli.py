@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gmml import load_metric
+from gmml import (
+    GmmlConfig,
+    load_dataset,
+    load_metric,
+    sample_constraints,
+    scatter_matrices,
+    solve,
+)
 from gmml.cli import main
+from gmml.io import _matrix_hash
 from gmml.evaluation import TIMING_FIELDS
 from helpers import make_anisotropic, make_blobs, write_csv
 
@@ -94,6 +102,23 @@ def test_learn_standardize_matches_pre_standardized_data(runner, tmp_path):
         assert result.exit_code == 0, all_text(result)
         texts.append(re.sub(r"^created: .*$", "", out.read_text(), flags=re.MULTILINE))
     assert texts[0] == texts[1]
+
+
+def test_learn_prior_file_blends_the_saved_metric(runner, blobs_csv, tmp_path):
+    prior_path, out = tmp_path / "prior.gmml", tmp_path / "m.gmml"
+    assert runner.invoke(main, ["learn", str(blobs_csv), "--t", "0.3",
+                                "--out", str(prior_path)]).exit_code == 0
+    result = runner.invoke(main, ["learn", str(blobs_csv), "--prior", str(prior_path),
+                                  "--lambda", "0.5", "--seed", "4", "--out", str(out)])
+    assert result.exit_code == 0, all_text(result)
+    prior = load_metric(prior_path).matrix
+    header = dict(line.split(": ", 1) for line in out.read_text().splitlines()[1:10])
+    assert header["prior_hash"] == _matrix_hash(prior) != "identity"
+
+    data = load_dataset(blobs_csv)
+    sc = scatter_matrices(data, sample_constraints(data, 80, 4))
+    expected = solve(sc, GmmlConfig(lam=0.5, prior=prior)).matrix
+    np.testing.assert_array_equal(load_metric(out).matrix, expected)
 
 
 def test_learn_rejects_t_out_of_range_before_work(runner, blobs_csv, tmp_path):
@@ -398,6 +423,13 @@ def test_benchmark_json_stdout_is_pure_json(runner, blobs_csv):
     doc = json.loads(result.stdout)
     assert len(doc["records"]) == 2
     assert "config:" in result.stderr
+
+
+def test_benchmark_more_folds_than_points_allow_exits_with_argument_code(runner, blobs_csv):
+    # 40 points hold at most 20 folds of 2 points
+    result = runner.invoke(main, ["benchmark", str(blobs_csv), "--folds", "30", "--runs", "1"])
+    assert result.exit_code == 2, all_text(result)
+    assert "30 folds need at least 60 points, got 40" in result.stderr
 
 
 @pytest.mark.parametrize("command", [

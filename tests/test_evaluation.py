@@ -209,6 +209,29 @@ def test_knn_rejects_dimension_mismatch():
         knn_predict(data, np.eye(2), [0.0, 0.0, 0.0], k=1)
 
 
+@pytest.mark.parametrize("metric", [2.0, np.ones((2, 3)), np.eye(3)],
+                         ids=["scalar", "2x3", "3x3"])
+def test_fixed_metric_of_the_wrong_shape_raises_dimension_mismatch(metric):
+    data = LabeledDataset(points=np.array([[0.0, 0.0], [1.0, 1.0]]), labels=[0, 1])
+    with pytest.raises(DimensionMismatch):
+        knn_predict(data, metric, [0.0, 0.0], k=1)
+    with pytest.raises(DimensionMismatch):
+        evaluate_split(data, data, GmmlConfig(), k=1, constraint_count=1, seed=0,
+                       metric=metric)
+
+
+@pytest.mark.parametrize("classify", [
+    lambda data: knn_predict(data, np.eye(2), [0.0, 0.0], k=0),
+    lambda data: evaluate_split(data, data, GmmlConfig(), k=0, constraint_count=40, seed=0),
+    lambda data: cross_validate_t(data, CvPolicy(), GmmlConfig(), k=0, seed=0),
+    lambda data: run_benchmark(data, SplitPlan(n_runs=1), None, GmmlConfig(), k=0),
+], ids=["knn_predict", "evaluate_split", "cross_validate_t", "run_benchmark"])
+def test_k_below_one_raises_value_error(classify):
+    data = make_blobs(np.random.default_rng(5), n_per_class=10)
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        classify(data)
+
+
 def test_knn_equals_euclidean_on_whitened_points():
     # d_A(x, y) = ||L^T x - L^T y||^2 for A = L L^T, so predictions under A
     # must match plain Euclidean predictions on transformed points
@@ -739,6 +762,46 @@ def test_cv_raises_a_cholesky_failure_at_the_oracles_t_and_fold(monkeypatch):
     )
 
 
+def test_cv_raises_a_classification_error_before_a_later_folds_fitting_error(monkeypatch):
+    # A_0.1 of fold 0 gets no Cholesky factor and fold 1 cannot sample its
+    # pairs: the loop over t then folds meets (0.1, fold 0) first, so fold 1
+    # must not be fitted before fold 0 is classified
+    poisoned = []
+    samples = Counter()
+    matrix, cholesky = GeodesicBasis.matrix, np.linalg.cholesky
+    sample = evaluation.sample_constraints
+
+    def poisoned_matrix(self, t):
+        a = matrix(self, t)
+        if t == 0.1 and not poisoned:
+            poisoned.append(a.tobytes())
+        return a
+
+    def failing_cholesky(a):
+        if any(m.tobytes() in poisoned for m in np.reshape(a, (-1,) + np.shape(a)[-2:])):
+            raise np.linalg.LinAlgError("poisoned A_0.1 of fold 0")
+        return cholesky(a)
+
+    def failing_sample(data, count, seed):
+        samples["calls"] += 1
+        if samples["calls"] == 2:
+            raise ValueError("fold 1 cannot sample its pairs")
+        return sample(data, count, seed)
+
+    monkeypatch.setattr(GeodesicBasis, "matrix", poisoned_matrix)
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    monkeypatch.setattr(evaluation, "sample_constraints", failing_sample)
+    problem = (make_anisotropic(np.random.default_rng(3), n_per_class=15),
+               CvPolicy(fine_count=3, cv_folds=3), GmmlConfig(), 3, 0, None, False)
+    got, _ = _cv_outcome(cross_validate_t, problem)
+    poisoned.clear()
+    samples.clear()
+    expected, _ = _cv_outcome(cross_validate_t_oracle, problem)
+    assert got == expected == (
+        NotPositiveDefinite, "Cholesky factorization failed: poisoned A_0.1 of fold 0"
+    )
+
+
 def test_holdout_split_is_stratified_and_deterministic():
     labels = np.repeat([0, 1, 2], [10, 4, 2])
     data = LabeledDataset(points=np.arange(16.0)[:, None], labels=labels)
@@ -838,6 +901,15 @@ def test_benchmark_rejects_single_class_unless_baseline():
         baseline=True, constraint_count=10,
     )
     assert report.n_failures == 0
+
+
+def test_benchmark_rejects_folds_of_fewer_than_two_points():
+    data = make_blobs(np.random.default_rng(22), n_per_class=5)
+    with pytest.raises(ValueError, match="6 folds need at least 12 points, got 10"):
+        run_benchmark(data, SplitPlan(n_runs=1, n_folds=6), None, GmmlConfig())
+    # five folds of two points each are enough
+    report = run_benchmark(data, SplitPlan(n_runs=1, n_folds=5), None, GmmlConfig(), k=1)
+    assert report.n_failures == 0 and len(report.records) == 5
 
 
 # ----------------------------------------------------------------- value checks
