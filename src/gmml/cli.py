@@ -12,16 +12,17 @@ go to stderr so stdout stays clean for results (tables, JSON, summaries).
 from __future__ import annotations
 
 import functools
-import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import click
 import numpy as np
 
+from . import __version__
 from . import io as gio
 from .evaluation import (
+    DEFAULT_COARSE_GRID,
     DEFAULT_K,
     CvPolicy,
     SplitPlan,
@@ -124,11 +125,11 @@ def _data_options(fn):
 
 def _config_options(fn):
     fn = click.option(
-        "--t", "t_value", default="0.5", show_default=True, callback=_parse_t,
+        "--t", "t_value", default=str(GmmlConfig.t), show_default=True, callback=_parse_t,
         help="Geodesic weight in [0, 1], or 'cv' to cross-validate it.",
     )(fn)
     fn = click.option(
-        "--lambda", "lam", type=float, default=0.0, show_default=True,
+        "--lambda", "lam", type=float, default=GmmlConfig.lam, show_default=True,
         help="Regularization strength blending the prior into both scatters.",
     )(fn)
     fn = click.option(
@@ -143,19 +144,19 @@ def _config_options(fn):
 
 def _cv_options(fn):
     fn = click.option(
-        "--cv-folds", type=int, default=5, show_default=True,
+        "--cv-folds", type=int, default=CvPolicy.cv_folds, show_default=True,
         help="Folds for cross-validating t.",
     )(fn)
     fn = click.option(
-        "--coarse-grid", default="0.1,0.3,0.5,0.7,0.9", show_default=True,
+        "--coarse-grid", default=",".join(map(str, DEFAULT_COARSE_GRID)), show_default=True,
         callback=_parse_grid, help="Comma-separated coarse t candidates.",
     )(fn)
     fn = click.option(
-        "--fine-count", type=int, default=12, show_default=True, callback=_positive,
-        help="Number of fine-stage t candidates around the coarse winner.",
+        "--fine-count", type=int, default=CvPolicy.fine_count, show_default=True,
+        callback=_positive, help="Number of fine-stage t candidates around the coarse winner.",
     )(fn)
     fn = click.option(
-        "--fine-spacing", type=float, default=0.02, show_default=True,
+        "--fine-spacing", type=float, default=CvPolicy.fine_spacing, show_default=True,
         help="Spacing between fine-stage t candidates.",
     )(fn)
     return fn
@@ -171,7 +172,8 @@ def _resolve(t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine
     """The solver config, the CV policy (None unless --t cv) and the
     constraint count for a dataset, from the shared options. The CV options
     are validated even when --t cv is not given."""
-    cfg = GmmlConfig(t=0.5 if t_value == "cv" else t_value, lam=lam, prior=_load_prior(prior))
+    t = GmmlConfig.t if t_value == "cv" else t_value
+    cfg = GmmlConfig(t=t, lam=lam, prior=_load_prior(prior))
     policy = CvPolicy(coarse_grid, fine_count, fine_spacing, cv_folds)
 
     def constraints(data) -> int:
@@ -205,7 +207,7 @@ def _require_classes(data) -> None:
 
 
 @click.group()
-@click.version_option(package_name="gmml", prog_name="gmml")
+@click.version_option(__version__, prog_name="gmml")
 def main():
     """Mahalanobis metric learning via geodesics of SPD scatter matrices."""
 
@@ -370,9 +372,9 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
 
 @main.command("benchmark")
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--runs", type=int, default=40, show_default=True, callback=_positive,
+@click.option("--runs", type=int, default=SplitPlan.n_runs, show_default=True, callback=_positive,
               help="Number of independent split runs.")
-@click.option("--folds", type=int, default=2, show_default=True,
+@click.option("--folds", type=int, default=SplitPlan.n_folds, show_default=True,
               help="Folds per run; every fold is held out once.")
 @click.option("--baseline", is_flag=True,
               help="Skip learning and use the identity metric (Euclidean k-NN).")
@@ -419,10 +421,7 @@ def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardiz
         fingerprint=fingerprint.compact(),
     )
 
-    if fmt == "json":
-        _echo(json.dumps(asdict(report), indent=2))
-    else:
-        _echo(gio.format_report_table(report))
+    _echo(gio.format_report(report, fmt))
 
     for rec in report.records:
         if rec.failure is not None:

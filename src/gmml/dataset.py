@@ -60,11 +60,11 @@ class LabeledDataset:
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
 
-    def subset(self, indices: np.ndarray, name: str | None = None) -> "LabeledDataset":
+    def subset(self, indices: np.ndarray) -> "LabeledDataset":
         """Dataset restricted to the given point indices."""
         return LabeledDataset(
             points=self.points[indices],
             labels=self.labels[indices],
             label_names=self.label_names,
-            name=self.name if name is None else name,
+            name=self.name,
         )

@@ -9,12 +9,11 @@ so a crash never leaves a half-written file.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from math import isfinite
 from pathlib import Path
@@ -84,11 +83,7 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def load_dataset(
-    path,
-    label_column: int = -1,
-    name: str | None = None,
-) -> LabeledDataset:
+def load_dataset(path, label_column: int = -1) -> LabeledDataset:
     """Read a delimited text dataset: one sample per row, one label column.
 
     The file is UTF-8, optionally starting with a byte-order mark. Blank
@@ -158,7 +153,7 @@ def load_dataset(
         points=features[: len(label_tokens)],
         labels=labels,
         label_names=label_names,
-        name=name if name is not None else path.stem,
+        name=path.stem,
     )
 
 
@@ -293,17 +288,6 @@ def load_metric(path) -> LearnedMetric:
         raise CorruptMatrix(f"{path}: stored matrix fails the SPD check: {exc}") from exc
 
 
-def report_from_dict(doc: dict) -> EvalReport:
-    records = tuple(RunRecord(**r) for r in doc["records"])
-    fields = {k: v for k, v in doc.items() if k != "records" and k != "label_names"}
-    label_names = doc.get("label_names")
-    return EvalReport(
-        records=records,
-        label_names=tuple(label_names) if label_names else None,
-        **fields,
-    )
-
-
 def _t_distribution(report: EvalReport) -> str:
     ts = report.chosen_ts
     if not ts:
@@ -314,42 +298,37 @@ def _t_distribution(report: EvalReport) -> str:
     return " ".join(f"{t:.2f}x{c}" for t, c in sorted(counts.items()))
 
 
-def format_report_table(reports) -> str:
-    """Human-readable table, one row per report."""
-    if isinstance(reports, EvalReport):
-        reports = [reports]
-    header = f"{'dataset':<20} {'error':<19} {'learn s':<10} {'total s':<10} {'chosen t':<24} failures"
-    rows = [header, "-" * len(header)]
-    for rep in reports:
-        err = f"{rep.mean_error:.4f} +/- {rep.std_error:.4f}"
-        rows.append(
-            f"{rep.dataset_name or '(unnamed)':<20} {err:<19} "
-            f"{rep.mean_learn_time:<10.4f} {rep.mean_total_time:<10.4f} "
-            f"{_t_distribution(rep):<24} {rep.n_failures}/{len(rep.records)}"
-        )
-    return "\n".join(rows)
-
-
-def write_report(reports, path, fmt: str = "table") -> None:
-    """Write one report or a sequence of reports.
-
-    ``fmt="table"`` renders the human table; ``fmt="json"`` writes a
-    machine-readable document containing every report field, which
-    :func:`read_report` parses back to equal dataclasses.
-    """
-    single = isinstance(reports, EvalReport)
-    if fmt == "table":
-        _atomic_write(path, format_report_table(reports) + "\n")
-    elif fmt == "json":
-        doc = dataclasses.asdict(reports) if single else [dataclasses.asdict(r) for r in reports]
-        _atomic_write(path, json.dumps(doc, indent=2) + "\n")
-    else:
+def format_report(report: EvalReport, fmt: str) -> str:
+    """The text of one report: ``fmt="table"`` renders a header, a rule and
+    the report's row; ``fmt="json"`` gives every report field as a JSON
+    document, which :func:`read_report` parses back to an equal report."""
+    if fmt == "json":
+        return json.dumps(asdict(report), indent=2)
+    if fmt != "table":
         raise ValueError(f"unknown report format {fmt!r}")
+    header = f"{'dataset':<20} {'error':<19} {'learn s':<10} {'total s':<10} {'chosen t':<24} failures"
+    err = f"{report.mean_error:.4f} +/- {report.std_error:.4f}"
+    row = (
+        f"{report.dataset_name or '(unnamed)':<20} {err:<19} "
+        f"{report.mean_learn_time:<10.4f} {report.mean_total_time:<10.4f} "
+        f"{_t_distribution(report):<24} {report.n_failures}/{len(report.records)}"
+    )
+    return "\n".join((header, "-" * len(header), row))
 
 
-def read_report(path):
-    """Parse a JSON report file back into EvalReport value(s)."""
+def write_report(report: EvalReport, path, fmt: str = "table") -> None:
+    """Atomically write :func:`format_report` of ``report``, newline-terminated."""
+    _atomic_write(path, format_report(report, fmt) + "\n")
+
+
+def read_report(path) -> EvalReport:
+    """Parse a JSON report file written by :func:`write_report` back into an
+    EvalReport; ParseError when the document is not a JSON object."""
     doc = json.loads(Path(path).read_text())
-    if isinstance(doc, list):
-        return [report_from_dict(d) for d in doc]
-    return report_from_dict(doc)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a report must be a JSON object, not a {type(doc).__name__}")
+    records = tuple(RunRecord(**r) for r in doc.pop("records"))
+    label_names = doc.pop("label_names", None)
+    return EvalReport(
+        records=records, label_names=tuple(label_names) if label_names else None, **doc
+    )

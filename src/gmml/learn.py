@@ -209,7 +209,7 @@ def scatter_matrices(data, pairs: PairConstraints) -> ScatterMatrices:
         if idx.shape[0] == 0:
             return np.zeros((d, d))
         diffs = pts[idx[:, 0]] - pts[idx[:, 1]]
-        return spd.symmetrize(diffs.T @ diffs)
+        return diffs.T @ diffs
 
     return ScatterMatrices(
         s_mat=accumulate(pairs.sim_pairs),
@@ -272,8 +272,8 @@ def solve(
         a0 = cfg.prior_for_dim(sc.dim)
         # the identity is its own inverse, bit for bit
         a0_inv = a0 if cfg.prior is None else spd.spd_inverse(a0)
-        s_used = spd.symmetrize(sc.s_mat + cfg.lam * a0_inv)
-        d_used = spd.symmetrize(sc.d_mat + cfg.lam * a0)
+        s_used = sc.s_mat + cfg.lam * a0_inv
+        d_used = sc.d_mat + cfg.lam * a0
     low = spd.cholesky(s_used)
     w, v = spd.sym_eigen(spd.symmetrize(low.T @ d_used @ low))
     if w[0] <= 0:

@@ -1,15 +1,18 @@
 import contextlib
 import dataclasses
 import gc
+import importlib.metadata
 import io
 import json
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gmml
 from gmml import (
     GmmlConfig,
     load_dataset,
@@ -425,6 +428,14 @@ def test_benchmark_json_stdout_is_pure_json(runner, blobs_csv):
     assert "config:" in result.stderr
 
 
+def test_benchmark_json_stdout_equals_out_file(runner, blobs_csv, tmp_path):
+    out = tmp_path / "rep.json"
+    result = runner.invoke(main, ["benchmark", str(blobs_csv), "--runs", "1",
+                                  "--t", "0.5", "--format", "json", "--out", str(out)])
+    assert result.exit_code == 0, all_text(result)
+    assert result.stdout == out.read_text()
+
+
 def test_benchmark_more_folds_than_points_allow_exits_with_argument_code(runner, blobs_csv):
     # 40 points hold at most 20 folds of 2 points
     result = runner.invoke(main, ["benchmark", str(blobs_csv), "--folds", "30", "--runs", "1"])
@@ -451,3 +462,21 @@ def test_help_screens(runner):
     assert runner.invoke(main, ["--help"]).exit_code == 0
     for sub in ("learn", "eval", "benchmark"):
         assert runner.invoke(main, [sub, "--help"]).exit_code == 0
+
+
+def test_version_needs_no_installed_package_metadata(runner, monkeypatch):
+    # the tests and the benchmark run the source tree, where no metadata exists
+    def missing(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", missing)
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, all_text(result)
+    assert result.stdout == "gmml, version 0.1.0\n"
+
+
+def test_pyproject_version_is_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == gmml.__version__

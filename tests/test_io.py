@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from gmml import (
     solve,
     write_report,
 )
-from gmml.io import format_report_table
+from gmml.io import format_report
 from gmml.learn import LearnedMetric, MetricProvenance
 from helpers import load_dataset_oracle, make_blobs, rand_spd, write_csv
 
@@ -396,21 +398,27 @@ def test_report_json_round_trip(tmp_path):
     assert read_report(path) == report
 
 
-def test_report_multi_dataset_order_preserved(tmp_path):
-    reports = [tiny_report(name, err) for name, err in
-               (("alpha", 0.1), ("beta", 0.2), ("gamma", 0.3))]
-    path = tmp_path / "batch.json"
-    write_report(reports, path, fmt="json")
-    assert read_report(path) == reports
-
-    table = format_report_table(reports)
-    rows = table.splitlines()[2:]
-    assert [r.split()[0] for r in rows] == ["alpha", "beta", "gamma"]
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_report_file_is_format_report_text(tmp_path, fmt):
+    path = tmp_path / "rep"
+    write_report(tiny_report(), path, fmt=fmt)
+    assert path.read_text() == format_report(tiny_report(), fmt) + "\n"
 
 
 def test_report_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError):
+        format_report(tiny_report(), "xml")
+    with pytest.raises(ValueError):
         write_report(tiny_report(), tmp_path / "rep.xml", fmt="xml")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, kind", [("[]", "list"), ("3", "int")])
+def test_read_report_refuses_a_document_that_is_not_an_object(tmp_path, text, kind):
+    path = tmp_path / "rep.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"{re.escape(str(path))}.*not a {kind}"):
+        read_report(path)
 
 
 def test_writers_leave_no_temp_files(tmp_path):
