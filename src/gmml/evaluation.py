@@ -574,10 +574,15 @@ def _attempt(fn, *args):
         return exc
 
 
-def _pick_best(scored: list[TScore]) -> float:
+def _pick_best(scored: list[TScore], singular: list[SingularScatter]) -> float:
+    """The t of least mean error, ties toward 0.5. With every candidate
+    disqualified, raises SingularScatter naming the scatter of the first
+    singular fold, ``singular[0]``."""
     alive = [s for s in scored if not s.disqualified]
     if not alive:
-        raise SingularScatter("similarity", "every t candidate failed cross-validation")
+        raise SingularScatter(
+            singular[0].which, "every t candidate failed cross-validation"
+        ) from singular[0]
     return min(alive, key=lambda s: (s.mean_error, abs(s.t - 0.5), s.t)).t
 
 
@@ -632,6 +637,7 @@ def cross_validate_t(
     # scatter is singular. Only the basis is kept, not the solved matrix, so
     # a fold holds one d x d array between stages.
     fits = []
+    singular: list[SingularScatter] = []
 
     def fit(f: int, t: float):
         cv_train, cv_val, fold_seed = splits[f]
@@ -640,7 +646,8 @@ def cross_validate_t(
             train_pts, val_pts = _standardize(train_pts, val_pts)
         try:
             learned = _learn(cv_train, train_pts, replace(cfg, t=t), constraint_count, fold_seed)
-        except SingularScatter:
+        except SingularScatter as exc:
+            singular.append(exc)
             return None
         return train_pts, val_pts, learned.basis
 
@@ -694,12 +701,12 @@ def cross_validate_t(
         return scores
 
     scored = score(policy.coarse_grid, "coarse")
-    winner = _pick_best(scored)
+    winner = _pick_best(scored, singular)
     already = {s.t for s in scored}
     fine = tuple(t for t in policy.fine_grid(winner) if t not in already)
     if fine:
         scored += score(fine, "fine")
-    return CvResult(chosen_t=_pick_best(scored), scores=tuple(scored))
+    return CvResult(chosen_t=_pick_best(scored, singular), scores=tuple(scored))
 
 
 def _run_unit(

@@ -323,12 +323,18 @@ def write_report(report: EvalReport, path, fmt: str = "table") -> None:
 
 def read_report(path) -> EvalReport:
     """Parse a JSON report file written by :func:`write_report` back into an
-    EvalReport; ParseError when the document is not a JSON object."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: a report must be a JSON object, not a {type(doc).__name__}")
-    records = tuple(RunRecord(**r) for r in doc.pop("records"))
-    label_names = doc.pop("label_names", None)
-    return EvalReport(
-        records=records, label_names=tuple(label_names) if label_names else None, **doc
-    )
+    EvalReport; ParseError naming the file when the text is not JSON, the
+    document not a JSON object, or its fields not a report's."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ParseError(
+                f"{path}: a report must be a JSON object, not a {type(doc).__name__}"
+            )
+        records = tuple(RunRecord(**r) for r in doc.pop("records"))
+        label_names = doc.pop("label_names", None)
+        return EvalReport(
+            records=records, label_names=tuple(label_names) if label_names else None, **doc
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a report ({type(exc).__name__}: {exc})") from exc

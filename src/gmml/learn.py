@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import spd
 from .exceptions import DimensionMismatch, NotPositiveDefinite, SingularScatter
@@ -83,7 +82,7 @@ class ScatterMatrices:
             )
         extremes = {}
         for name, m in (("similarity", s), ("dissimilarity", d)):
-            w = np.linalg.eigvalsh(m)
+            w = spd._sym_eigvals(m)
             if w[0] < -1e-10 * max(w[-1], 0.0):
                 raise ValueError(f"{name} scatter matrix is not positive semi-definite")
             extremes[name] = (w[0], w[-1])
@@ -281,9 +280,7 @@ def solve(
             f"dissimilarity scatter is not positive definite "
             f"(whitened min eigenvalue {w[0]:.3e})"
         )
-    basis = GeodesicBasis(
-        p=scipy.linalg.solve_triangular(low, v, lower=True, trans="T"), w=w
-    )
+    basis = GeodesicBasis(p=spd._back_solve(low, v), w=w)
     a = basis.matrix(cfg.t)
     return LearnedMetric(
         matrix=a,

@@ -3,6 +3,8 @@
 Factorizations, matrix powers, geodesics on the SPD manifold, and the two
 divergences used by the solvers. All functions are pure: they validate
 their inputs, never mutate them, and return freshly allocated arrays.
+Everything runs on numpy's LAPACK: Cholesky, symmetric eigensolvers, and
+triangular solves as back substitution (:func:`_back_solve`).
 
 Matrices are plain float64 ``numpy`` arrays. A "symmetric" matrix here is
 exactly symmetric (``m[i, j] == m[j, i]``); :func:`symmetrize` produces one
@@ -13,7 +15,6 @@ before returning, so floating-point asymmetry never accumulates.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import ConvergenceError, DimensionMismatch, NotPositiveDefinite
 
@@ -67,7 +68,7 @@ def check_spd(a, name: str = "matrix", tol: float = SPD_TOLERANCE) -> np.ndarray
     a = as_square(a, name)
     if not np.array_equal(a, a.T):
         raise NotPositiveDefinite(f"{name} is not symmetric")
-    w = np.linalg.eigvalsh(a)
+    w = _sym_eigvals(a)
     if not _relative_guard(w, tol):
         raise NotPositiveDefinite(
             f"{name} is not positive definite "
@@ -125,6 +126,31 @@ def sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _sym_eigvals(m) -> np.ndarray:
+    """numpy's ``eigvalsh`` (ascending), raising ConvergenceError as
+    :func:`sym_eigen` does when the solver fails to converge."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _back_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-T} b for a lower-triangular Cholesky factor L. L^T is upper
+    triangular with a positive diagonal, so numpy's LU solve pivots nowhere
+    and is plain back substitution. ValueError when L or b holds an inf or
+    NaN: ``np.linalg.cholesky`` of a NaN matrix returns NaN, not an error.
+    """
+    _require_finite(low, b)
+    # Fortran order: products of the result round differently in C order
+    return np.asfortranarray(np.linalg.solve(low.T, b))
+
+
 def spd_power(a, t: float) -> np.ndarray:
     """Matrix power a^t of an SPD matrix through its eigendecomposition.
 
@@ -141,18 +167,19 @@ def spd_power(a, t: float) -> np.ndarray:
 
 
 def spd_inverse(a) -> np.ndarray:
-    """Inverse of an SPD matrix via Cholesky solve, symmetrized."""
+    """Inverse of an SPD matrix a = L L^T as U U^T with U = L^{-T},
+    symmetrized."""
     a = as_square(a, "inverse input")
-    low = cholesky(a)
-    inv = scipy.linalg.cho_solve((low, True), np.eye(a.shape[0]))
-    return symmetrize(inv)
+    u = _back_solve(cholesky(a), np.eye(a.shape[0]))
+    return symmetrize(u @ u.T)
 
 
 def _whiten(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, L^{-1} x L^{-T}) for y = L L^T, the second symmetrized."""
     low = cholesky(y)
-    z = scipy.linalg.solve_triangular(low, x, lower=True)
-    return low, symmetrize(scipy.linalg.solve_triangular(low, z.T, lower=True).T)
+    _require_finite(x)
+    u = _back_solve(low, np.eye(y.shape[0]))
+    return low, symmetrize(u.T @ x @ u)
 
 
 def geodesic(a, b, t: float) -> np.ndarray:
@@ -191,7 +218,7 @@ def riemannian_distance(x, y) -> float:
     x = as_square(x, "distance operand x")
     y = as_square(y, "distance operand y")
     _require_same_dim(x, y, "distance operands")
-    w = np.linalg.eigvalsh(_whiten(y, x)[1])
+    w = _sym_eigvals(_whiten(y, x)[1])
     if w[0] <= 0:
         raise NotPositiveDefinite(
             f"distance operand is not positive definite "
@@ -220,5 +247,5 @@ def loewner_less(a, b) -> bool:
     a = as_square(a, "order operand a")
     b = as_square(b, "order operand b")
     _require_same_dim(a, b, "order operands")
-    w = np.linalg.eigvalsh(symmetrize(b - a))
+    w = _sym_eigvals(symmetrize(b - a))
     return bool(w[0] > 0)

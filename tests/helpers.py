@@ -211,6 +211,8 @@ def cross_validate_t_oracle(
         rest = np.setdiff1d(all_idx, fold, assume_unique=True)
         splits.append((train.subset(rest), train.subset(fold), int(fold_seeds[f])))
 
+    singular = []
+
     def score(t: float, stage: str) -> TScore:
         errors = []
         for cv_train, cv_val, fold_seed in splits:
@@ -219,15 +221,16 @@ def cross_validate_t_oracle(
                     cv_train, cv_val, replace(cfg, t=t), k, constraint_count,
                     fold_seed, standardize=standardize,
                 )
-            except SingularScatter:
+            except SingularScatter as exc:
+                singular.append(exc)
                 return TScore(t=t, mean_error=None, stage=stage, disqualified=True)
             errors.append(outcome.error_rate)
         return TScore(t=t, mean_error=float(np.mean(errors)), stage=stage)
 
     scored = [score(t, "coarse") for t in policy.coarse_grid]
-    winner = _pick_best(scored)
+    winner = _pick_best(scored, singular)
     already = {s.t for s in scored}
     for t in policy.fine_grid(winner):
         if t not in already:
             scored.append(score(t, "fine"))
-    return CvResult(chosen_t=_pick_best(scored), scores=tuple(scored))
+    return CvResult(chosen_t=_pick_best(scored, singular), scores=tuple(scored))

@@ -4,7 +4,10 @@ import gc
 import importlib.metadata
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -366,6 +369,39 @@ def test_benchmark_all_runs_failing_exits_nonzero(runner, degenerate_csv, tmp_pa
     assert all(rec["failure"] is not None for rec in doc["records"])
 
 
+@pytest.fixture()
+def overflowing_csv(tmp_path):
+    # finite features whose scatter sums overflow to inf: numpy's
+    # eigensolver then fails with LinAlgError, a ValueError subclass
+    rng = np.random.default_rng(0)
+    rows = [",".join(f"{v:.17g}" for v in rng.normal(size=4) * 1e160) + f",{i % 3}"
+            for i in range(60)]
+    path = tmp_path / "overflowing.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_learn_failing_eigensolver_exits_with_numerical_code(runner, overflowing_csv,
+                                                              tmp_path):
+    result = runner.invoke(main, ["learn", str(overflowing_csv),
+                                  "--out", str(tmp_path / "m.gmml")])
+    assert result.exit_code == 4, all_text(result)
+    assert "symmetric eigensolver failed" in result.stderr
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_benchmark_failing_eigensolver_records_every_unit(runner, overflowing_csv, tmp_path):
+    out = tmp_path / "rep.json"
+    result = runner.invoke(main, ["benchmark", str(overflowing_csv), "--runs", "1",
+                                  "--out", str(out)])
+    assert result.exit_code == 4, all_text(result)
+    assert "every run failed" in result.stderr
+    doc = json.loads(out.read_text())
+    assert len(doc["records"]) == 2
+    assert all("symmetric eigensolver failed" in rec["failure"] for rec in doc["records"])
+
+
 def test_benchmark_regularized_degenerate_succeeds(runner, degenerate_csv):
     result = runner.invoke(main, ["benchmark", str(degenerate_csv), "--runs", "2",
                                   "--t", "0.5", "--lambda", "0.1"])
@@ -480,3 +516,39 @@ def test_pyproject_version_is_package_version():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as handle:
         assert tomllib.load(handle)["project"]["version"] == gmml.__version__
+
+
+NO_SCIPY_SCRIPT = """
+import json
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+from gmml import geodesic, riemannian_distance, spd_inverse
+from gmml.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        main(argv, prog_name="gmml")
+    except SystemExit as exc:
+        codes.append(exc.code)
+a = np.array([[2.0, 0.5], [0.5, 1.0]])
+spd_inverse(a), geodesic(a, np.eye(2), 0.3), riemannian_distance(a, np.eye(2))
+print(codes)
+"""
+
+
+def test_gmml_runs_without_scipy(blobs_csv, tmp_path):
+    data, metric = str(blobs_csv), str(tmp_path / "m.gmml")
+    commands = [
+        ["learn", data, "--out", metric],
+        ["learn", data, "--prior", metric, "--lambda", "0.5",
+         "--out", str(tmp_path / "p.gmml")],
+        ["eval", "--data", data, "--metric", metric],
+        ["benchmark", data, "--t", "cv", "--runs", "1"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    child = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == str([0] * len(commands)), child.stderr

@@ -558,6 +558,18 @@ def test_cv_deterministic_given_seed():
     assert a == b
 
 
+def test_cv_singular_fold_names_its_scatter():
+    # 5% of 200 points in class 1: 80 pairs hold too few dissimilar ones to
+    # span d = 20, so D is singular while S is not
+    rng = np.random.default_rng(0)
+    labels = np.zeros(200, dtype=int)
+    labels[:10] = 1
+    data = LabeledDataset(points=rng.standard_normal((200, 20)), labels=labels)
+    with pytest.raises(SingularScatter) as info:
+        cross_validate_t(data, CvPolicy(), GmmlConfig(), k=5, seed=0, constraint_count=80)
+    assert info.value.which == "dissimilarity"
+
+
 def test_cv_rejects_tiny_datasets():
     data = LabeledDataset(points=[[0.0], [1.0], [2.0]], labels=[0, 1, 0])
     with pytest.raises(ValueError):

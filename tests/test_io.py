@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -418,6 +419,30 @@ def test_read_report_refuses_a_document_that_is_not_an_object(tmp_path, text, ki
     path = tmp_path / "rep.json"
     path.write_text(text)
     with pytest.raises(ParseError, match=f"{re.escape(str(path))}.*not a {kind}"):
+        read_report(path)
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("{}", "KeyError"),
+    ("not json", "JSONDecodeError"),
+    ('{"records": []}', "TypeError"),
+])
+def test_read_report_malformed_document_is_a_parse_error_naming_the_file(tmp_path, text,
+                                                                         cause):
+    path = tmp_path / "rep.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"{re.escape(str(path))}.*{cause}") as info:
+        read_report(path)
+    assert type(info.value.__cause__).__name__ == cause
+
+
+def test_read_report_unknown_field_is_a_parse_error(tmp_path):
+    path = tmp_path / "rep.json"
+    write_report(tiny_report(), path, fmt="json")
+    doc = json.loads(path.read_text())
+    doc["surplus"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="surplus"):
         read_report(path)
 
 

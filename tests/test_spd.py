@@ -308,3 +308,18 @@ def test_spd_inverse_matches_numpy():
     inv = spd_inverse(a)
     assert np.array_equal(inv, inv.T)
     assert rel_fro(inv, np.linalg.inv(a)) <= 1e-10
+
+
+@pytest.mark.parametrize("call", [
+    spd_inverse,
+    lambda m: geodesic(m, np.eye(3), 0.5),
+    lambda m: geodesic(np.eye(3), m, 0.5),
+    lambda m: riemannian_distance(m, np.eye(3)),
+    lambda m: riemannian_distance(np.eye(3), m),
+], ids=["spd_inverse", "geodesic-a", "geodesic-b", "distance-x", "distance-y"])
+def test_non_finite_operand_raises_value_error(call):
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = np.nan
+    # np.linalg.cholesky returns NaN for a NaN input instead of failing
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        call(m)
