@@ -177,11 +177,6 @@ def default_constraint_count(c: int) -> int:
     return 40 * c * (c - 1)
 
 
-def _decode_pair_codes(codes: np.ndarray, n: int) -> np.ndarray:
-    """Map codes i*n + j (i < j) back to index pairs."""
-    return np.column_stack((codes // n, codes % n))
-
-
 def sample_constraints(data: LabeledDataset, count: int, seed: int) -> PairConstraints:
     """Draw `count` unordered point pairs uniformly at random.
 
@@ -197,33 +192,16 @@ def sample_constraints(data: LabeledDataset, count: int, seed: int) -> PairConst
         raise ValueError(f"constraint count must be >= 1, got {count}")
     universe = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
-
     if count > universe:
-        ii, jj = np.triu_indices(n, 1)
         picks = rng.integers(0, universe, size=count)
-        pairs = np.column_stack((ii[picks], jj[picks]))
-    elif universe <= max(4 * count, 4096):
-        ii, jj = np.triu_indices(n, 1)
-        picks = rng.permutation(universe)[:count]
-        pairs = np.column_stack((ii[picks], jj[picks]))
     else:
-        # large sparse universe: rejection-sample distinct pairs
-        seen: set[int] = set()
-        chosen: list[int] = []
-        while len(chosen) < count:
-            m = 2 * (count - len(chosen)) + 16
-            ii = rng.integers(0, n, size=m)
-            jj = rng.integers(0, n, size=m)
-            mask = ii != jj
-            codes = np.minimum(ii[mask], jj[mask]) * n + np.maximum(ii[mask], jj[mask])
-            for code in codes:
-                code = int(code)
-                if code not in seen:
-                    seen.add(code)
-                    chosen.append(code)
-                    if len(chosen) == count:
-                        break
-        pairs = _decode_pair_codes(np.asarray(chosen, dtype=np.int64), n)
+        picks = rng.choice(universe, size=count, replace=False)
+    # pick p is the row-major index of pair (i, j), i < j, in the strict
+    # upper triangle; row i starts at index i * (2n - i - 1) / 2
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, picks, side="right") - 1
+    pairs = np.column_stack((i, picks - starts[i] + i + 1))
 
     same = data.labels[pairs[:, 0]] == data.labels[pairs[:, 1]]
     return PairConstraints(sim_pairs=pairs[same], dis_pairs=pairs[~same])
@@ -548,6 +526,8 @@ def holdout_split(
     data: LabeledDataset, fraction: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified train/test split holding out ``fraction`` of each class."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"holdout fraction must lie strictly in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
     test_parts = []
     for cls in np.unique(data.labels):

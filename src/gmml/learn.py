@@ -82,6 +82,11 @@ class ScatterMatrices:
             )
         extremes = {}
         for name, m in (("similarity", s), ("dissimilarity", d)):
+            if not np.isfinite(m).all():
+                raise NotPositiveDefinite(
+                    f"{name} scatter matrix is not finite: the features are too "
+                    "large for its sums; rescale them, for example with --standardize"
+                )
             w = spd._sym_eigvals(m)
             if w[0] < -1e-10 * max(w[-1], 0.0):
                 raise ValueError(f"{name} scatter matrix is not positive semi-definite")

@@ -38,6 +38,10 @@ from gmml.spd import geodesic, riemannian_distance, spd_inverse, spd_power
 from helpers import make_anisotropic, make_blobs, rand_spd, write_csv
 
 
+# Criteria 1, 7 and 8 bound this process's CPU time over all its threads
+# (time.process_time). Another process competing for the cores does not
+# inflate it, and on an idle machine these CPU-bound loops take at least
+# as much CPU time as wall time, so the bounds are not looser.
 def announce(capsys, number, ok, detail):
     with capsys.disabled():
         print(f"{'PASS' if ok else 'FAIL'}  criterion {number:2d}: {detail}")
@@ -50,13 +54,13 @@ def random_sc(rng, d, lo=0.5, hi=2.0):
 def test_criterion_01_riccati_correctness(capsys):
     # closed-form solution satisfies its defining quadratic matrix equation
     rng = np.random.default_rng(101)
-    start = time.perf_counter()
+    start = time.process_time()
     worst = 0.0
     for d in (2, 5, 20, 100):
         for _ in range(100):
             metric = solve(random_sc(rng, d))
             worst = max(worst, metric.provenance.riccati_residual)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     ok = worst <= 1e-8 and elapsed < 10.0
     announce(capsys, 1, ok,
              f"max residual {worst:.2e} over 400 instances in {elapsed:.1f}s")
@@ -164,7 +168,7 @@ def test_criterion_06_regularization_pulls_toward_prior(capsys):
 
 
 def test_criterion_07_classification_quality(capsys):
-    start = time.perf_counter()
+    start = time.process_time()
     plan = SplitPlan(n_runs=10, n_folds=2, rng_seed=7)
     policy = CvPolicy()
     cfg = GmmlConfig()
@@ -181,7 +185,7 @@ def test_criterion_07_classification_quality(capsys):
     blob_report = run_benchmark(blobs, plan, policy, cfg)
     easy = blob_report.mean_error <= 0.05
 
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     ok = halved and easy and elapsed < 60.0
     announce(capsys, 7, ok,
              f"anisotropic {learned.mean_error:.3f} vs baseline {baseline.mean_error:.3f}, "
@@ -197,10 +201,10 @@ def test_criterion_08_runtime_scaling(capsys):
     data = LabeledDataset(points=rng.normal(size=(5000, 256)),
                           labels=np.arange(5000) % 10, name="large")
     pairs = sample_constraints(data, default_constraint_count(10), seed=0)
-    start = time.perf_counter()
+    start = time.process_time()
     sc = scatter_matrices(data, pairs)
     solve(sc)
-    learn_time = time.perf_counter() - start
+    learn_time = time.process_time() - start
 
     # solve cost should grow roughly with the cube of the dimension: each
     # doubling lands within a factor 3 of the ideal 8x. The solves are

@@ -17,15 +17,22 @@ from click.testing import CliRunner
 
 import gmml
 from gmml import (
+    ConvergenceError,
+    CorruptMatrix,
     GmmlConfig,
+    ParseError,
+    ScatterMatrices,
+    check_spd,
     load_dataset,
     load_metric,
     sample_constraints,
+    save_metric,
     scatter_matrices,
     solve,
 )
 from gmml.cli import main
 from gmml.io import _matrix_hash
+from gmml.learn import LearnedMetric, MetricProvenance
 from gmml.evaluation import TIMING_FIELDS
 from helpers import make_anisotropic, make_blobs, write_csv
 
@@ -371,8 +378,7 @@ def test_benchmark_all_runs_failing_exits_nonzero(runner, degenerate_csv, tmp_pa
 
 @pytest.fixture()
 def overflowing_csv(tmp_path):
-    # finite features whose scatter sums overflow to inf: numpy's
-    # eigensolver then fails with LinAlgError, a ValueError subclass
+    # finite features whose scatter sums overflow to inf
     rng = np.random.default_rng(0)
     rows = [",".join(f"{v:.17g}" for v in rng.normal(size=4) * 1e160) + f",{i % 3}"
             for i in range(60)]
@@ -387,7 +393,8 @@ def test_learn_failing_eigensolver_exits_with_numerical_code(runner, overflowing
     result = runner.invoke(main, ["learn", str(overflowing_csv),
                                   "--out", str(tmp_path / "m.gmml")])
     assert result.exit_code == 4, all_text(result)
-    assert "symmetric eigensolver failed" in result.stderr
+    assert "scatter matrix is not finite" in result.stderr
+    assert "--standardize" in result.stderr
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
@@ -399,7 +406,26 @@ def test_benchmark_failing_eigensolver_records_every_unit(runner, overflowing_cs
     assert "every run failed" in result.stderr
     doc = json.loads(out.read_text())
     assert len(doc["records"]) == 2
-    assert all("symmetric eigensolver failed" in rec["failure"] for rec in doc["records"])
+    assert all("scatter matrix is not finite" in rec["failure"] for rec in doc["records"])
+
+
+def test_failing_eigensolver_is_a_convergence_error(runner, blobs_csv, tmp_path,
+                                                    monkeypatch):
+    # numpy's LinAlgError is a ValueError subclass, which would exit 2
+    def failing_eigvalsh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    message = "symmetric eigensolver failed: Eigenvalues did not converge"
+    with pytest.raises(ConvergenceError, match=message):
+        check_spd(np.eye(2))
+    with pytest.raises(ConvergenceError, match=message):
+        ScatterMatrices(s_mat=np.eye(2), d_mat=np.eye(2), sim_count=1, dis_count=1)
+    out = tmp_path / "m.gmml"
+    result = runner.invoke(main, ["learn", str(blobs_csv), "--out", str(out)])
+    assert result.exit_code == 4, all_text(result)
+    assert message in result.stderr
+    assert not out.exists()
 
 
 def test_benchmark_regularized_degenerate_succeeds(runner, degenerate_csv):
@@ -492,6 +518,61 @@ def test_cv_folds_below_two_exits_with_argument_code(runner, blobs_csv, tmp_path
     assert result.exit_code == 2, all_text(result)
     assert "cv_folds must be >= 2" in all_text(result)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["learn", "CSV", "--t", "abc"],
+    ["benchmark", "CSV", "--coarse-grid", "0.5,x"],
+    ["eval", "--data", "CSV", "--coarse-grid", ","],
+    ["learn", "CSV", "--coarse-grid", "0,0.5"],
+    ["benchmark", "CSV", "--count", "0"],
+    ["eval", "--data", "CSV", "--holdout", "1.5"],
+], ids=["t-abc", "grid-token", "grid-empty", "grid-zero", "count-zero", "holdout"])
+def test_bad_option_value_exits_with_argument_code(runner, blobs_csv, tmp_path, command):
+    out = tmp_path / "out"
+    args = [str(blobs_csv) if a == "CSV" else a for a in command]
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2, all_text(result)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [
+    (["learn", "CSV", "--out", "OUT"], 3),
+    (["eval", "--data", "CSV"], 3),
+    (["benchmark", "CSV", "--runs", "1"], 3),
+    (["benchmark", "CSV", "--runs", "1", "--baseline"], 0),
+    (["eval", "--data", "CSV", "--metric", "identity"], 0),
+], ids=["learn", "eval", "benchmark", "benchmark-baseline", "eval-identity"])
+def test_single_class_data_fails_only_where_a_metric_is_learned(runner, tmp_path, command, code):
+    # one class has no dissimilar pairs; the Euclidean baseline needs none
+    path = tmp_path / "one.csv"
+    write_csv(path, make_blobs(np.random.default_rng(6), n_per_class=10, centers=((0.0, 0.0),)))
+    args = [{"CSV": str(path), "OUT": str(tmp_path / "m.gmml")}.get(a, a) for a in command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, all_text(result)
+    if code == 3:
+        assert "dataset 'one' has 1 class" in result.stderr
+        assert not (tmp_path / "m.gmml").exists()
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda text: "", CorruptMatrix, "is empty"),
+    (lambda text: re.sub(r"^dim: .*\n", "", text, flags=re.MULTILINE), CorruptMatrix,
+     "malformed header"),
+    (lambda text: text.replace("\n0.0 1.0\n", "\n0.0 one\n"), ParseError,
+     "line 13: bad matrix entry"),
+], ids=["empty", "no-dim", "non-numeric-entry"])
+def test_corrupt_metric_file_exits_with_data_code(runner, blobs_csv, tmp_path, edit, error,
+                                                  message):
+    path = tmp_path / "m.gmml"
+    save_metric(LearnedMetric(matrix=np.eye(2), config=GmmlConfig(),
+                              provenance=MetricProvenance(0, 0, 0.0)), path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(error, match=message):
+        load_metric(path)
+    result = runner.invoke(main, ["eval", "--data", str(blobs_csv), "--metric", str(path)])
+    assert result.exit_code == 3, all_text(result)
+    assert message in result.stderr
 
 
 def test_help_screens(runner):

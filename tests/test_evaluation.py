@@ -136,6 +136,30 @@ def test_sample_deterministic_given_seed():
     assert np.array_equal(a.dis_pairs, b.dis_pairs)
 
 
+@pytest.mark.parametrize("n, count", [(n, n * (n - 1) // 2) for n in range(2, 41)]
+                         + [(4, 25), (6, 40), (3, 7), (30, 200), (120, 240), (1500, 480)])
+def test_sample_draws_then_decodes_the_upper_triangle(n, count):
+    # with replacement only when count exceeds the universe; numpy gives
+    # Generator methods no cross-version stream guarantee, so a change in
+    # either draw fails here
+    universe = n * (n - 1) // 2
+    rng = np.random.default_rng(n + count)
+    if count > universe:
+        picks = rng.integers(0, universe, count)
+    else:
+        picks = rng.choice(universe, count, replace=False)
+    expected = np.column_stack(np.triu_indices(n, 1))[picks]
+    labels = np.arange(n) % 3
+    pairs = sample_constraints(LabeledDataset(points=np.zeros((n, 1)), labels=labels),
+                               count, seed=n + count)
+    same = labels[expected[:, 0]] == labels[expected[:, 1]]
+    assert np.array_equal(pairs.sim_pairs, expected[same])
+    assert np.array_equal(pairs.dis_pairs, expected[~same])
+    if count == universe:
+        drawn = np.vstack([pairs.sim_pairs, pairs.dis_pairs])
+        assert sorted(map(tuple, drawn.tolist())) == list(zip(*np.triu_indices(n, 1)))
+
+
 def test_sample_rejects_bad_count():
     data = LabeledDataset(points=[[0.0], [1.0]], labels=[0, 1])
     with pytest.raises(ValueError):
@@ -218,6 +242,13 @@ def test_fixed_metric_of_the_wrong_shape_raises_dimension_mismatch(metric):
     with pytest.raises(DimensionMismatch):
         evaluate_split(data, data, GmmlConfig(), k=1, constraint_count=1, seed=0,
                        metric=metric)
+
+
+def test_evaluate_split_names_both_dimensions_of_a_mismatch():
+    train = LabeledDataset(points=np.zeros((4, 2)), labels=[0, 1, 0, 1])
+    test = LabeledDataset(points=np.zeros((2, 3)), labels=[0, 1])
+    with pytest.raises(DimensionMismatch, match="train dim 2 vs test dim 3"):
+        evaluate_split(train, test, GmmlConfig(), k=1, constraint_count=4, seed=0)
 
 
 @pytest.mark.parametrize("classify", [
@@ -822,6 +853,13 @@ def test_holdout_split_is_stratified_and_deterministic():
     assert sorted(train.points[:, 0].tolist() + test.points[:, 0].tolist()) == list(range(16))
     again = holdout_split(data, 0.3, seed=3)
     assert np.array_equal(again[1].points, test.points)
+
+
+@pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -2.0])
+def test_holdout_split_rejects_a_fraction_outside_the_open_unit_interval(fraction):
+    data = LabeledDataset(points=np.arange(20.0)[:, None], labels=np.repeat([0, 1], 10))
+    with pytest.raises(ValueError, match=r"holdout fraction must lie strictly in \(0, 1\)"):
+        holdout_split(data, fraction, seed=0)
 
 
 # ------------------------------------------------------------------ run_benchmark
