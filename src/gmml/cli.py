@@ -84,28 +84,15 @@ def _parse_t(ctx, param, value):
     if value == "cv":
         return value
     try:
-        t = float(value)
+        return float(value)
     except ValueError:
         raise click.BadParameter("must be a number in [0, 1] or 'cv'") from None
-    if not 0.0 <= t <= 1.0:
-        raise click.BadParameter(f"must lie in [0, 1], got {t}")
-    return t
 
 def _parse_grid(ctx, param, value):
     try:
-        grid = tuple(float(tok) for tok in value.split(",") if tok.strip())
+        return tuple(float(tok) for tok in value.split(",") if tok.strip())
     except ValueError:
         raise click.BadParameter("must be comma-separated numbers") from None
-    if not grid:
-        raise click.BadParameter("must name at least one t value")
-    if any(not 0.0 < t < 1.0 for t in grid):
-        raise click.BadParameter("every t must lie strictly in (0, 1)")
-    return grid
-
-def _positive(ctx, param, value):
-    if value is not None and value < 1:
-        raise click.BadParameter("must be at least 1")
-    return value
 
 
 def _data_options(fn):
@@ -118,7 +105,7 @@ def _data_options(fn):
         help="Z-score features using statistics from the training part only.",
     )(fn)
     fn = click.option(
-        "--seed", type=int, default=0, show_default=True, envvar="GMML_SEED",
+        "--seed", type=click.IntRange(min=0), default=0, show_default=True, envvar="GMML_SEED",
         help="Base RNG seed (env: GMML_SEED).",
     )(fn)
     return fn
@@ -137,7 +124,7 @@ def _config_options(fn):
         help="Prior matrix: 'identity' or the path of a saved metric file.",
     )(fn)
     fn = click.option(
-        "--count", type=int, default=None, callback=_positive,
+        "--count", type=click.IntRange(min=1), default=None,
         help="Constraint pairs to sample [default: 40c(c-1)].",
     )(fn)
     return fn
@@ -153,7 +140,7 @@ def _cv_options(fn):
     )(fn)
     fn = click.option(
         "--fine-count", type=int, default=CvPolicy.fine_count, show_default=True,
-        callback=_positive, help="Number of fine-stage t candidates around the coarse winner.",
+        help="Number of fine-stage t candidates around the coarse winner.",
     )(fn)
     fn = click.option(
         "--fine-spacing", type=float, default=CvPolicy.fine_spacing, show_default=True,
@@ -217,7 +204,7 @@ def main():
 @_data_options
 @_config_options
 @_cv_options
-@click.option("--k", type=int, default=DEFAULT_K, show_default=True, callback=_positive,
+@click.option("--k", type=click.IntRange(min=1), default=DEFAULT_K, show_default=True,
               help="Neighbors used when --t cv scores candidates.")
 @click.option("--out", type=click.Path(dir_okay=False), default="metric.gmml",
               show_default=True, help="Where to write the learned metric.")
@@ -279,7 +266,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
 @_data_options
 @_config_options
 @_cv_options
-@click.option("--k", type=int, default=DEFAULT_K, show_default=True, callback=_positive,
+@click.option("--k", type=click.IntRange(min=1), default=DEFAULT_K, show_default=True,
               help="Neighbors for classification.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Optional report path.")
@@ -294,8 +281,6 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
         raise click.UsageError("--train and --test must be given together")
     if (train_path is None) == (data_path is None):
         raise click.UsageError("give either --train/--test or --data")
-    if data_path is not None and not 0.0 < holdout < 1.0:
-        raise click.UsageError("--holdout must lie strictly in (0, 1)")
 
     cfg, policy, constraints = _resolve(
         t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine_spacing
@@ -321,13 +306,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     if metric_path == "identity":
         metric = np.eye(train.n_features)
     elif metric_path is not None:
-        loaded = gio.load_metric(metric_path)
-        if loaded.dim != train.n_features:
-            raise DimensionMismatch(
-                f"metric is {loaded.dim}-dimensional but data has "
-                f"{train.n_features} features"
-            )
-        metric = loaded.matrix
+        metric = gio.load_metric(metric_path).matrix
     if metric is None:
         _require_classes(train)
 
@@ -372,18 +351,18 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
 
 @main.command("benchmark")
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--runs", type=int, default=SplitPlan.n_runs, show_default=True, callback=_positive,
+@click.option("--runs", type=int, default=SplitPlan.n_runs, show_default=True,
               help="Number of independent split runs.")
 @click.option("--folds", type=int, default=SplitPlan.n_folds, show_default=True,
               help="Folds per run; every fold is held out once.")
 @click.option("--baseline", is_flag=True,
               help="Skip learning and use the identity metric (Euclidean k-NN).")
-@click.option("--jobs", type=int, default=1, show_default=True, callback=_positive,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads for independent run/fold units.")
 @_data_options
 @_config_options
 @_cv_options
-@click.option("--k", type=int, default=DEFAULT_K, show_default=True, callback=_positive,
+@click.option("--k", type=click.IntRange(min=1), default=DEFAULT_K, show_default=True,
               help="Neighbors for classification.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Optional machine-readable report path (JSON).")

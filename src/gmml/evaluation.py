@@ -69,8 +69,8 @@ class CvPolicy:
             raise ValueError(f"coarse grid values must lie in (0, 1): {self.coarse_grid}")
         if self.fine_count < 1:
             raise ValueError(f"fine_count must be >= 1, got {self.fine_count}")
-        if self.fine_spacing <= 0:
-            raise ValueError(f"fine_spacing must be > 0, got {self.fine_spacing}")
+        if not 0.0 < self.fine_spacing < np.inf:
+            raise ValueError(f"fine_spacing must be finite and > 0, got {self.fine_spacing}")
         if self.cv_folds < 2:
             raise ValueError(f"cv_folds must be >= 2, got {self.cv_folds}")
 

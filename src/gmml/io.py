@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from math import isfinite
@@ -71,15 +70,19 @@ def _matrix_hash(m: np.ndarray) -> str:
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a fresh temporary file beside ``path``, then rename
+    it over ``path``. The temporary file is made by ``open`` in exclusive
+    mode, so the result has the mode ``open(path, "w")`` gives a new file
+    (0o666 less the umask)."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    handle = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

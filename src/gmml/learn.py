@@ -104,8 +104,8 @@ class ScatterMatrices:
 class GmmlConfig:
     """Solver hyper-parameters.
 
-    ``t`` is the geodesic step in [0, 1], ``lam`` the regularization weight
-    (zero disables the prior), ``prior`` the SPD prior matrix (None means
+    ``t`` is the geodesic step in [0, 1], ``lam`` the regularization weight,
+    finite and >= 0 (zero disables the prior), ``prior`` the SPD prior matrix (None means
     the identity, resolved against the data dimension at solve time).
     """
 
@@ -116,8 +116,8 @@ class GmmlConfig:
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"t must be in [0, 1], got {self.t}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.prior is not None:
             object.__setattr__(self, "prior", spd.check_spd(self.prior, "prior"))
 
@@ -268,7 +268,7 @@ def solve(
     """
     if cfg.lam == 0.0:
         for which, (lo, hi) in sc.extreme_eigenvalues.items():
-            if not spd._relative_guard(np.array((lo, hi)), spd.SPD_TOLERANCE):
+            if not spd._relative_guard(np.array((lo, hi))):
                 ratio = lo / hi if hi > 0 else lo
                 raise SingularScatter(which, f"relative min eigenvalue {ratio:.3e}")
         s_used, d_used = sc.s_mat, sc.d_mat

@@ -50,16 +50,16 @@ def symmetrize(m) -> np.ndarray:
     return (a + a.T) / 2
 
 
-def is_spd(a: np.ndarray, tol: float = SPD_TOLERANCE) -> bool:
-    """True iff ``a`` is symmetric with min eigenvalue > tol * max eigenvalue
+def is_spd(a: np.ndarray) -> bool:
+    """True iff ``a`` is symmetric with min eigenvalue > SPD_TOLERANCE * max eigenvalue
     (False when the eigensolver fails), as :func:`spd_mask` decides it."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return bool(spd_mask(a[None], tol)[0])
+    return bool(spd_mask(a[None])[0])
 
 
-def check_spd(a, name: str = "matrix", tol: float = SPD_TOLERANCE) -> np.ndarray:
+def check_spd(a, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is SPD and return it as a float64 array.
 
     Symmetry must hold exactly (construct inputs with :func:`symmetrize`);
@@ -69,7 +69,7 @@ def check_spd(a, name: str = "matrix", tol: float = SPD_TOLERANCE) -> np.ndarray
     if not np.array_equal(a, a.T):
         raise NotPositiveDefinite(f"{name} is not symmetric")
     w = _sym_eigvals(a)
-    if not _relative_guard(w, tol):
+    if not _relative_guard(w):
         raise NotPositiveDefinite(
             f"{name} is not positive definite "
             f"(min eigenvalue {w[0]:.3e}, max {w[-1]:.3e})"
@@ -77,12 +77,12 @@ def check_spd(a, name: str = "matrix", tol: float = SPD_TOLERANCE) -> np.ndarray
     return a
 
 
-def _relative_guard(w: np.ndarray, tol: float) -> np.ndarray:
+def _relative_guard(w: np.ndarray) -> np.ndarray:
     """The positive-definiteness guard on ascending eigenvalues (..., d)."""
-    return (w[..., -1] > 0) & (w[..., 0] > tol * w[..., -1])
+    return (w[..., -1] > 0) & (w[..., 0] > SPD_TOLERANCE * w[..., -1])
 
 
-def spd_mask(stack: np.ndarray, tol: float = SPD_TOLERANCE) -> np.ndarray:
+def spd_mask(stack: np.ndarray) -> np.ndarray:
     """Which matrices of a (T, d, d) stack :func:`check_spd` accepts, from
     one stacked ``eigvalsh``: the same exact-symmetry test and relative
     guard. A stack the eigensolver fails on reads as all rejected, so that
@@ -93,7 +93,7 @@ def spd_mask(stack: np.ndarray, tol: float = SPD_TOLERANCE) -> np.ndarray:
         w = np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError:
         return np.zeros(stack.shape[0], dtype=bool)
-    return symmetric & _relative_guard(w, tol)
+    return symmetric & _relative_guard(w)
 
 
 def cholesky(a) -> np.ndarray:
@@ -159,7 +159,7 @@ def spd_power(a, t: float) -> np.ndarray:
     """
     a = as_square(a, "power input")
     w, v = sym_eigen(symmetrize(a))
-    if not _relative_guard(w, SPD_TOLERANCE):
+    if not _relative_guard(w):
         raise NotPositiveDefinite(
             f"power input is not positive definite (min eigenvalue {w[0]:.3e})"
         )

@@ -520,19 +520,34 @@ def test_cv_folds_below_two_exits_with_argument_code(runner, blobs_csv, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["learn", "CSV", "--t", "abc"],
-    ["benchmark", "CSV", "--coarse-grid", "0.5,x"],
-    ["eval", "--data", "CSV", "--coarse-grid", ","],
-    ["learn", "CSV", "--coarse-grid", "0,0.5"],
-    ["benchmark", "CSV", "--count", "0"],
-    ["eval", "--data", "CSV", "--holdout", "1.5"],
-], ids=["t-abc", "grid-token", "grid-empty", "grid-zero", "count-zero", "holdout"])
-def test_bad_option_value_exits_with_argument_code(runner, blobs_csv, tmp_path, command):
+@pytest.mark.parametrize("command, env", [
+    (["learn", "CSV", "--t", "abc"], None),
+    (["benchmark", "CSV", "--coarse-grid", "0.5,x"], None),
+    (["eval", "--data", "CSV", "--coarse-grid", ","], None),
+    (["learn", "CSV", "--coarse-grid", "0,0.5"], None),
+    (["benchmark", "CSV", "--count", "0"], None),
+    (["eval", "--data", "CSV", "--holdout", "1.5"], None),
+    (["learn", "CSV", "--lambda", "nan"], None),
+    (["eval", "--data", "CSV", "--lambda", "inf"], None),
+    (["learn", "CSV", "--fine-spacing", "nan"], None),
+    (["benchmark", "CSV", "--t", "cv", "--runs", "1", "--fine-spacing", "inf"], None),
+    (["eval", "--data", "CSV", "--seed", "-1"], None),
+    (["learn", "CSV"], {"GMML_SEED": "-1"}),
+    (["benchmark", "CSV", "--runs", "1", "--t", "1.5"], None),
+    (["eval", "--data", "CSV", "--fine-count", "0"], None),
+    (["benchmark", "CSV", "--runs", "0"], None),
+    (["learn", "CSV", "--k", "0"], None),
+    (["benchmark", "CSV", "--runs", "1", "--jobs", "0"], None),
+], ids=["t-abc", "grid-token", "grid-empty", "grid-zero", "count-zero", "holdout",
+        "lambda-nan", "lambda-inf", "fine-spacing-nan", "fine-spacing-inf", "seed-negative",
+        "seed-env-negative", "t-above-one", "fine-count-zero", "runs-zero", "k-zero",
+        "jobs-zero"])
+def test_bad_option_value_exits_with_argument_code(runner, blobs_csv, tmp_path, command, env):
     out = tmp_path / "out"
     args = [str(blobs_csv) if a == "CSV" else a for a in command]
-    result = runner.invoke(main, [*args, "--out", str(out)])
+    result = runner.invoke(main, [*args, "--out", str(out)], env=env)
     assert result.exit_code == 2, all_text(result)
+    assert "config:" not in result.stderr
     assert not out.exists()
 
 

@@ -614,8 +614,9 @@ def test_cv_policy_validation():
         CvPolicy(coarse_grid=(0.0, 0.5))
     with pytest.raises(ValueError):
         CvPolicy(fine_count=0)
-    with pytest.raises(ValueError):
-        CvPolicy(fine_spacing=0.0)
+    for spacing in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="fine_spacing"):
+            CvPolicy(fine_spacing=spacing)
     with pytest.raises(ValueError):
         CvPolicy(cv_folds=1)
 

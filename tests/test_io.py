@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -451,3 +453,15 @@ def test_writers_leave_no_temp_files(tmp_path):
     save_metric(identity_metric(2), tmp_path / "m.gmml")
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["m.gmml", "rep.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_writers_give_new_files_the_mode_open_gives(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        save_metric(identity_metric(2), tmp_path / "m.gmml")
+        write_report(tiny_report(), tmp_path / "rep.json", fmt="json")
+    finally:
+        os.umask(previous)
+    for name in ("m.gmml", "rep.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode

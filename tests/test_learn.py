@@ -498,8 +498,9 @@ def test_euclidean_midpoint_objective_convex():
 def test_config_validation():
     with pytest.raises(ValueError):
         GmmlConfig(t=1.5)
-    with pytest.raises(ValueError):
-        GmmlConfig(lam=-0.1)
+    for lam in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lambda"):
+            GmmlConfig(lam=lam)
     from gmml import NotPositiveDefinite
     with pytest.raises(NotPositiveDefinite):
         GmmlConfig(prior=np.diag([1.0, -1.0]))
