@@ -100,6 +100,11 @@ def load_dataset(path, label_column: int = -1) -> LabeledDataset:
     mapped to dense codes in first-appearance order, with the original
     tokens recorded in ``label_names``.
 
+    A comma-separated file with the label last is read by numpy's C parser,
+    with the values ``float()`` gives; any file that parser refuses is read
+    again token by token, so the syntax accepted and the error raised are
+    the same either way.
+
     Errors, in order of precedence: :class:`EmptyFile` without data rows;
     :class:`ParseError` when the first row has fewer than two columns;
     :class:`InconsistentWidth` at the first row whose width differs from
@@ -110,7 +115,51 @@ def load_dataset(path, label_column: int = -1) -> LabeledDataset:
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8-sig").splitlines()
+    parsed = _read_well_formed(lines, label_column)
+    if parsed is None:
+        parsed = _read_token_by_token(path, lines, label_column)
+    features, label_tokens = parsed
+    labels, label_names = _encode_labels(label_tokens)
+    return LabeledDataset(points=features, labels=labels, label_names=label_names, name=path.stem)
 
+
+def _read_well_formed(lines: list[str], label_column: int):
+    """(features, label tokens) of a comma-separated dataset with the label
+    last, its features read by numpy's C parser; None for any other layout,
+    a row whose width differs from the first row's, an empty label, or a
+    value numpy refuses or that is not finite. The caller then reads the
+    file token by token, which alone picks the error.
+
+    With ``usecols`` numpy checks no row's width, so each row's commas are
+    counted first. numpy reads every number ``float()`` reads, to the same
+    bits, except ``1_000`` and non-ASCII digits, which it refuses; it also
+    strips U+001C..U+001F around a number, which ``float()`` refuses, so
+    rows holding U+001F (the others end a line under ``splitlines``) are
+    left to the token loop. Without rows numpy would warn that the input
+    holds no data, which is its only warning here.
+    """
+    rows = [s for s in map(str.strip, lines) if s]
+    if not rows or any("\x1f" in row for row in rows):
+        return None
+    width = rows[0].count(",") + 1
+    if width < 2 or label_column not in (-1, width - 1):
+        return None
+    if any(row.count(",") != width - 1 for row in rows):
+        return None
+    label_tokens = [row.rpartition(",")[2].strip() for row in rows]
+    if not all(label_tokens):
+        return None
+    try:
+        features = np.loadtxt(rows, delimiter=",", usecols=list(range(width - 1)),
+                              comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return (features, label_tokens) if np.isfinite(features).all() else None
+
+
+def _read_token_by_token(path: Path, lines: list[str], label_column: int):
+    """(features, label tokens) of any dataset, converting each token with
+    ``float()``; raises the error :func:`load_dataset` documents."""
     width = col = features = comma = None
     label_tokens: list[str] = []
     bad_row = None  # (lineno, label, feature tokens) of the first row with a bad value
@@ -150,14 +199,7 @@ def load_dataset(path, label_column: int = -1) -> LabeledDataset:
         raise ParseError(f"label column {label_column} out of range for {width} columns")
     if bad_row is not None:
         raise _bad_value(col, *bad_row)
-
-    labels, label_names = _encode_labels(label_tokens)
-    return LabeledDataset(
-        points=features[: len(label_tokens)],
-        labels=labels,
-        label_names=label_names,
-        name=path.stem,
-    )
+    return features[: len(label_tokens)], label_tokens
 
 
 def _bad_value(col: int, lineno: int, label: str, fields: list[str]) -> ParseError:
@@ -222,9 +264,10 @@ def save_metric(metric: LearnedMetric, path) -> None:
 def load_metric(path) -> LearnedMetric:
     """Read a metric file written by :func:`save_metric`.
 
-    Skips an optional UTF-8 byte-order mark. Refuses unknown format
-    versions; validates the stored matrix is SPD (CorruptMatrix otherwise). The prior is not reconstructed, only its
-    hash is stored, so the returned config carries ``prior=None``.
+    Skips an optional UTF-8 byte-order mark and refuses unknown format
+    versions. The stored matrix must be SPD; CorruptMatrix otherwise. Only
+    the prior's hash is stored, not the prior, so the returned config
+    carries ``prior=None``.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8-sig").splitlines()

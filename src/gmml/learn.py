@@ -276,10 +276,19 @@ def solve(
         a0 = cfg.prior_for_dim(sc.dim)
         # the identity is its own inverse, bit for bit
         a0_inv = a0 if cfg.prior is None else spd.spd_inverse(a0)
-        s_used = sc.s_mat + cfg.lam * a0_inv
-        d_used = sc.d_mat + cfg.lam * a0
-    low = spd.cholesky(s_used)
-    w, v = spd.sym_eigen(spd.symmetrize(low.T @ d_used @ low))
+        with np.errstate(over="ignore"):
+            s_used = sc.s_mat + cfg.lam * a0_inv
+            d_used = sc.d_mat + cfg.lam * a0
+    whitened = None
+    if np.isfinite(s_used).all() and np.isfinite(d_used).all():
+        low = spd.cholesky(s_used)
+        with np.errstate(over="ignore", invalid="ignore"):
+            whitened = spd.symmetrize(low.T @ d_used @ low)
+    if whitened is None or not np.isfinite(whitened).all():
+        hint = (f" with lambda {cfg.lam!r}; use a smaller lambda or rescale the features"
+                if cfg.lam > 0 else "; rescale the features, for example with --standardize")
+        raise NotPositiveDefinite(f"the whitened dissimilarity scatter overflows float64{hint}")
+    w, v = spd.sym_eigen(whitened)
     if w[0] <= 0:
         raise NotPositiveDefinite(
             f"dissimilarity scatter is not positive definite "

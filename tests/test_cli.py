@@ -397,6 +397,32 @@ def test_learn_failing_eigensolver_exits_with_numerical_code(runner, overflowing
     assert "--standardize" in result.stderr
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["lambda", "lambda-prior", "huge-features"])
+def test_learn_overflowing_lambda_exits_with_numerical_code(runner, blobs_csv, tmp_path, case):
+    # a numpy warning would turn into an exception here and exit 1
+    args = ["learn", str(blobs_csv), "--lambda", "1e308"]
+    if case == "lambda-prior":
+        prior = tmp_path / "prior.gmml"
+        assert runner.invoke(main, ["learn", str(blobs_csv), "--out", str(prior)]).exit_code == 0
+        args += ["--prior", str(prior)]
+    elif case == "huge-features":
+        # finite scatters whose whitened product L^T D L overflows
+        data = load_dataset(blobs_csv)
+        huge = tmp_path / "huge.csv"
+        write_csv(huge, dataclasses.replace(data, points=data.points * 1e100))
+        args = ["learn", str(huge)]
+    out = tmp_path / "m.gmml"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 4, all_text(result)
+    assert "whitened dissimilarity scatter overflows float64" in result.stderr
+    if case == "huge-features":
+        assert "--standardize" in result.stderr and "smaller lambda" not in result.stderr
+    else:
+        assert "with lambda 1e+308; use a smaller lambda" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
 def test_benchmark_failing_eigensolver_records_every_unit(runner, overflowing_csv, tmp_path):
     out = tmp_path / "rep.json"

@@ -214,7 +214,9 @@ def test_load_rejects_empty_feature(tmp_path):
 
 
 _TOKENS = ["0", "-1.5", "2.25e-3", "1_000", "1e308", "-1e308", "1e309", "-0.0", ".5",
-           "+7", "nan", "inf", "-Infinity", "abc", "1.2.3", "0x10", "1e", "٣"]
+           "+7", "nan", "inf", "-Infinity", "abc", "1.2.3", "0x10", "1e", "٣",
+           "#1", '"1"', "'1'", "１２", "4.9e-324", "2.2250738585072014e-308", "0x1p3", "1d5",
+           "0." + "1234567890" * 40]
 _LABELS = {"dense": ["0", "1", "2"], "sparse": ["5", "7", "-1"], "text": ["a", "b", "a b"],
            "float": ["1.0", "0.0", "2.0"]}
 
@@ -277,12 +279,31 @@ def _outcome(load, path, label_column):
 @example(("1,inf,abc,0\n", 5))
 @example(("a,1,2\nb,inf,x\nc,oops,4\n", 0))
 @example(("0,1,2\n", 7))
+@example(("0,0\n0,0\n0,0,0", 0))
+@example(("0,0\n0,0\n0,0,0", -1))
+@example(("1,2,0\n1,2\n", -1))
+@example(("1.5,a,2\n-3,b,4e-3\n", 1))
+@example(("1_000,１２,0\n2,3,1\n", -1))
 def test_load_dataset_matches_token_oracle(tmp_path_factory, file):
     text, label_column = file
     path = tmp_path_factory.mktemp("oracle") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     want = _outcome(load_dataset_oracle, path, label_column)
     assert _outcome(load_dataset, path, label_column) == want
+
+
+def test_label_last_csv_skips_the_token_loop(tmp_path, monkeypatch):
+    data = make_blobs(np.random.default_rng(2), n_per_class=10)
+    path = tmp_path / "blobs.csv"
+    write_csv(path, data)
+
+    def unreachable(*args):
+        raise AssertionError("a well-formed label-last CSV reached the token loop")
+
+    monkeypatch.setattr("gmml.io._read_token_by_token", unreachable)
+    loaded = load_dataset(path)
+    assert loaded.points.tobytes() == data.points.tobytes()
+    assert loaded.labels.tolist() == data.labels.tolist()
 
 
 # ------------------------------------------------------------------ fingerprint
