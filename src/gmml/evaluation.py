@@ -24,8 +24,9 @@ from .learn import (
     PairConstraints,
     scatter_matrices,
     solve,
+    solve_basis,
 )
-from .spd import as_square, check_spd, cholesky, spd_mask
+from .spd import as_square, cholesky, spd_mask
 
 DEFAULT_K = 5
 DEFAULT_COARSE_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -540,29 +541,18 @@ def holdout_split(
     return data.subset(train_idx), data.subset(test_idx)
 
 
-# Classification errors cross_validate_t records per (t, fold) and raises
-# when its walk reaches that (t, fold).
-_REPLAYED = (GmmlError, ValueError)
-
-
-def _attempt(fn, *args):
-    """``fn(*args)``, or the error it raised, which ``cross_validate_t``
-    raises once its walk reaches the (t, fold) that raised it."""
-    try:
-        return fn(*args)
-    except _REPLAYED as exc:
-        return exc
-
-
-def _pick_best(scored: list[TScore], singular: list[SingularScatter]) -> float:
-    """The t of least mean error, ties toward 0.5. With every candidate
-    disqualified, raises SingularScatter naming the scatter of the first
-    singular fold, ``singular[0]``."""
+def _pick_best(scored: list[TScore], first_rejected: tuple[float, int] | None) -> float:
+    """The t of least mean error among the candidates not disqualified, ties
+    toward 0.5. With every candidate disqualified, raises NotPositiveDefinite
+    naming ``first_rejected``, the first (t, fold) whose metric failed the
+    SPD guard."""
     alive = [s for s in scored if not s.disqualified]
     if not alive:
-        raise SingularScatter(
-            singular[0].which, "every t candidate failed cross-validation"
-        ) from singular[0]
+        t, fold = first_rejected
+        raise NotPositiveDefinite(
+            f"every t candidate failed cross-validation: the learned metric at "
+            f"t = {t} is not positive definite on fold {fold}"
+        )
     return min(alive, key=lambda s: (s.mean_error, abs(s.t - 0.5), s.t)).t
 
 
@@ -577,26 +567,23 @@ def cross_validate_t(
 ) -> CvResult:
     """Two-step cross-validated choice of the geodesic parameter t.
 
-    Step one scores the coarse grid by mean CV error; step two scores a
-    fine window around the coarse winner. The overall argmin wins, with
-    ties broken toward the t nearest 0.5. A candidate failing any fold
-    (singular scatter) is disqualified; the scatters do not depend on t, so
-    a singular fold disqualifies every candidate. With ``standardize`` every
-    fold is z-scored by its own training part, as ``evaluate_split`` does.
+    Every candidate is a point A_t = P diag(w^t) P^T of one geodesic, so the
+    folds are fitted once, in order, before any t is scored: each samples
+    its constraints, builds its scatters and factors them (``solve_basis``).
+    The first fold that fails to fit raises its error; a singular scatter
+    fails every t, so it raises SingularScatter naming that scatter. With
+    ``standardize`` every fold is z-scored by its own training part, as
+    ``evaluate_split`` does.
 
-    Every candidate is a point A_t = P diag(w^t) P^T of one geodesic, so
-    each fold samples its constraints, builds its scatters and factors
-    them once: one ``solve`` at the first t scored, whose ``basis`` gives
-    every other A_t. A stage walks its (t, fold) pairs in the order of a
-    loop over t then folds. The first time the walk reaches a fold, it fits
-    the fold if no earlier stage did and classifies the fold's whole stage:
-    its matrices are checked like a learned metric by one stacked
-    eigenvalue guard (``check_spd`` runs only on a matrix the guard
-    rejects, for its error) and classified by one ``_knn_labels`` call on
-    the stack. A fitting error raises where it is met; a classification
-    error is recorded per t and raised when the walk reaches its t. So the
-    scores, the chosen t, the warnings and the first exception are those of
-    calling ``evaluate_split`` for every (t, fold).
+    Step one scores the coarse grid; step two scores a fine window around
+    the coarse winner. Per fold, a stage's A_t are stacked, checked by one
+    stacked SPD guard (``spd_mask``, the guard of a learned metric) and the
+    accepted ones classified by one ``_knn_labels`` call, whose errors
+    propagate. A t whose A_t the guard rejects on any fold is disqualified;
+    every other t scores its mean validation error over the folds. The
+    overall argmin wins, with ties broken toward the t nearest 0.5. With
+    every t disqualified, NotPositiveDefinite names the first rejected
+    (t, fold), taking the candidates in order.
     """
     if constraint_count is None:
         constraint_count = default_constraint_count(train.num_classes)
@@ -608,85 +595,50 @@ def cross_validate_t(
     rng = np.random.default_rng(seed)
     index_splits = _fold_splits(train.labels, n_folds, rng)
     fold_seeds = rng.integers(0, 2**63 - 1, size=n_folds)
-    splits = [
-        (train.subset(rest), train.subset(fold), int(fold_seed))
-        for (rest, fold), fold_seed in zip(index_splits, fold_seeds)
-    ]
 
-    # per fold: (train points, validation points, basis), or None when its
-    # scatter is singular. Only the basis is kept, not the solved matrix, so
-    # a fold holds one d x d array between stages.
+    # per fold: train labels and points, validation labels and points, and
+    # the basis, the one d x d array a fold keeps between stages
     fits = []
-    singular: list[SingularScatter] = []
-
-    def fit(f: int, t: float):
-        cv_train, cv_val, fold_seed = splits[f]
+    for (rest, fold), fold_seed in zip(index_splits, fold_seeds):
+        cv_train, cv_val = train.subset(rest), train.subset(fold)
         train_pts, val_pts = cv_train.points, cv_val.points
         if standardize:
             train_pts, val_pts = _standardize(train_pts, val_pts)
+        pairs = sample_constraints(cv_train, constraint_count, int(fold_seed))
         try:
-            learned = _learn(cv_train, train_pts, replace(cfg, t=t), constraint_count, fold_seed)
+            basis = solve_basis(scatter_matrices(train_pts, pairs), cfg)[0]
         except SingularScatter as exc:
-            singular.append(exc)
-            return None
-        return train_pts, val_pts, learned.basis
+            raise SingularScatter(exc.which, "every t candidate failed cross-validation") from exc
+        fits.append((cv_train.labels, train_pts, cv_val.labels, val_pts, basis))
 
-    def classify(f: int, ts: tuple[float, ...]) -> list:
-        """The error rate, or the exception raised, of every t on fold f."""
-        cv_train, cv_val, _ = splits[f]
-        train_pts, val_pts, basis = fits[f]
-        stack = np.stack([basis.matrix(t) for t in ts])
-        outcomes: list = [None] * len(ts)
-        passed = spd_mask(stack)
-        for i in np.flatnonzero(~passed):
-            outcomes[i] = _attempt(check_spd, stack[i], "learned metric")
-            passed[i] = not isinstance(outcomes[i], Exception)
-        keep = np.flatnonzero(passed)
-        if keep.size == 0:
-            return outcomes
-        try:
-            labels = list(_knn_labels(train_pts, cv_train.labels, stack[keep], val_pts, k))
-        except _REPLAYED:
-            # a matrix without a Cholesky factor, say: classifying one matrix
-            # at a time finds which, and the walk raises its error at its t
-            labels = [_attempt(_knn_labels, train_pts, cv_train.labels, stack[i:i + 1],
-                               val_pts, k) for i in keep]
-        for i, predicted in zip(keep, labels):
-            outcomes[i] = predicted if isinstance(predicted, Exception) else (
-                int(np.count_nonzero(predicted != cv_val.labels)) / cv_val.n_points
-            )
-        return outcomes
+    def score(ts: tuple[float, ...], stage: str):
+        """The scores of every t of a stage, and its first (t, fold), in
+        order of t, whose metric the guard rejects (None if there is none)."""
+        rejected = np.zeros((len(ts), n_folds), dtype=bool)
+        errors = np.zeros((len(ts), n_folds))
+        for f, (train_labels, train_pts, val_labels, val_pts, basis) in enumerate(fits):
+            stack = np.stack([basis.matrix(t) for t in ts])
+            passed = spd_mask(stack)
+            rejected[:, f] = ~passed
+            if passed.any():
+                predicted = _knn_labels(train_pts, train_labels, stack[passed], val_pts, k)
+                wrong = np.count_nonzero(predicted != val_labels, axis=1)
+                errors[passed, f] = wrong / val_labels.size
+        scores = [
+            TScore(t=t, mean_error=None, stage=stage, disqualified=True) if failed.any()
+            else TScore(t=t, mean_error=float(np.mean(row)), stage=stage)
+            for t, failed, row in zip(ts, rejected, errors)
+        ]
+        bad = np.argwhere(rejected)  # (t, fold) index pairs, t by t
+        return scores, (ts[bad[0, 0]], int(bad[0, 1])) if bad.size else None
 
-    def score(ts: tuple[float, ...], stage: str) -> list[TScore]:
-        """Scores of every t of a stage, walked t by t, fold by fold. A
-        singular fold stops the walk at every t, so the walk first reaches
-        each fold it reaches at all at the stage's first t."""
-        by_fold = []
-        scores = []
-        for i, t in enumerate(ts):
-            errors = []
-            for f in range(n_folds):
-                if f == len(fits):
-                    fits.append(fit(f, t))
-                if fits[f] is None:
-                    scores.append(TScore(t=t, mean_error=None, stage=stage, disqualified=True))
-                    break
-                if f == len(by_fold):
-                    by_fold.append(classify(f, ts))
-                if isinstance(by_fold[f][i], Exception):
-                    raise by_fold[f][i]
-                errors.append(by_fold[f][i])
-            else:
-                scores.append(TScore(t=t, mean_error=float(np.mean(errors)), stage=stage))
-        return scores
-
-    scored = score(policy.coarse_grid, "coarse")
-    winner = _pick_best(scored, singular)
+    scored, first_rejected = score(policy.coarse_grid, "coarse")
+    winner = _pick_best(scored, first_rejected)
     already = {s.t for s in scored}
     fine = tuple(t for t in policy.fine_grid(winner) if t not in already)
     if fine:
-        scored += score(fine, "fine")
-    return CvResult(chosen_t=_pick_best(scored, singular), scores=tuple(scored))
+        scored += score(fine, "fine")[0]
+    return CvResult(chosen_t=_pick_best(scored, first_rejected), scores=tuple(scored))
 
 
 def _run_unit(

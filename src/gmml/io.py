@@ -132,14 +132,13 @@ def _read_well_formed(lines: list[str], label_column: int):
 
     With ``usecols`` numpy checks no row's width, so each row's commas are
     counted first. numpy reads every number ``float()`` reads, to the same
-    bits, except ``1_000`` and non-ASCII digits, which it refuses; it also
-    strips U+001C..U+001F around a number, which ``float()`` refuses, so
-    rows holding U+001F (the others end a line under ``splitlines``) are
-    left to the token loop. Without rows numpy would warn that the input
-    holds no data, which is its only warning here.
+    bits, except ``1_000`` and non-ASCII digits, which it refuses. Like the
+    token loop, which strips every field, it strips U+001F around a number.
+    Without rows numpy would warn that the input holds no data, which is
+    its only warning here.
     """
     rows = [s for s in map(str.strip, lines) if s]
-    if not rows or any("\x1f" in row for row in rows):
+    if not rows:
         return None
     width = rows[0].count(",") + 1
     if width < 2 or label_column not in (-1, width - 1):
@@ -184,7 +183,8 @@ def _read_token_by_token(path: Path, lines: list[str], label_column: int):
             continue
         label = fields.pop(col).strip()
         try:
-            values = list(map(float, fields))  # float() strips whitespace itself
+            # float() strips less than str.strip(), which also removes U+001F
+            values = [float(f.strip()) for f in fields]
         except ValueError:
             values = None
         if not label or values is None or not all(map(isfinite, values)):

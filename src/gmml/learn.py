@@ -249,22 +249,13 @@ def riccati_residual(a: np.ndarray, s: np.ndarray, d: np.ndarray) -> float:
     return float(np.linalg.norm(a @ s @ a - d) / denom)
 
 
-def solve(
-    sc: ScatterMatrices, cfg: GmmlConfig = GmmlConfig(), fingerprint: str | None = None
-) -> LearnedMetric:
-    """Metric at parameter ``cfg.t`` on the geodesic from S^{-1} to D.
-
-    ``t`` balances the two terms of the cost trace(A S) + trace(A^{-1} D):
-    t=0 returns S^{-1}, t=1 returns D, and the default t=1/2 is the unique
-    SPD solution of A S A = D. With ``cfg.lam > 0`` the solve uses
-    S + lam * prior^{-1} and D + lam * prior instead, which keeps both SPD
-    when the raw scatters are merely positive semi-definite; large ``lam``
-    pulls the result toward the prior. With ``lam = 0`` both scatters must
-    be strictly SPD, otherwise SingularScatter names the first that is not.
-
-    The S used is factored once as S = L L^T. With the eigendecomposition
-    L^T D L = V diag(w) V^T and P = L^{-T} V, the metric is
-    A = P diag(w^t) P^T; the result keeps (P, w) as its ``basis``.
+def solve_basis(
+    sc: ScatterMatrices, cfg: GmmlConfig = GmmlConfig()
+) -> tuple[GeodesicBasis, np.ndarray, np.ndarray]:
+    """The geodesic of :func:`solve`, which does not depend on ``cfg.t``:
+    its ``GeodesicBasis`` and the S and D it factored (prior-blended when
+    ``cfg.lam > 0``). Raises every error of :func:`solve` except the check
+    of the metric at ``cfg.t``.
     """
     if cfg.lam == 0.0:
         for which, (lo, hi) in sc.extreme_eigenvalues.items():
@@ -294,7 +285,28 @@ def solve(
             f"dissimilarity scatter is not positive definite "
             f"(whitened min eigenvalue {w[0]:.3e})"
         )
-    basis = GeodesicBasis(p=spd._back_solve(low, v), w=w)
+    return GeodesicBasis(p=spd._back_solve(low, v), w=w), s_used, d_used
+
+
+def solve(
+    sc: ScatterMatrices, cfg: GmmlConfig = GmmlConfig(), fingerprint: str | None = None
+) -> LearnedMetric:
+    """Metric at parameter ``cfg.t`` on the geodesic from S^{-1} to D.
+
+    ``t`` balances the two terms of the cost trace(A S) + trace(A^{-1} D):
+    t=0 returns S^{-1}, t=1 returns D, and the default t=1/2 is the unique
+    SPD solution of A S A = D. With ``cfg.lam > 0`` the solve uses
+    S + lam * prior^{-1} and D + lam * prior instead, which keeps both SPD
+    when the raw scatters are merely positive semi-definite; large ``lam``
+    pulls the result toward the prior. With ``lam = 0`` both scatters must
+    be strictly SPD, otherwise SingularScatter names the first that is not.
+
+    The S used is factored once as S = L L^T. With the eigendecomposition
+    L^T D L = V diag(w) V^T and P = L^{-T} V, the metric is
+    A = P diag(w^t) P^T; the result keeps (P, w) as its ``basis``, which
+    :func:`solve_basis` computes.
+    """
+    basis, s_used, d_used = solve_basis(sc, cfg)
     a = basis.matrix(cfg.t)
     return LearnedMetric(
         matrix=a,

@@ -85,8 +85,7 @@ def _relative_guard(w: np.ndarray) -> np.ndarray:
 def spd_mask(stack: np.ndarray) -> np.ndarray:
     """Which matrices of a (T, d, d) stack :func:`check_spd` accepts, from
     one stacked ``eigvalsh``: the same exact-symmetry test and relative
-    guard. A stack the eigensolver fails on reads as all rejected, so that
-    ``check_spd`` of each matrix gives its own outcome.
+    guard. A stack the eigensolver fails on reads as all rejected.
     """
     symmetric = (stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
     try:

@@ -17,11 +17,14 @@ from gmml import (
     GmmlConfig,
     InconsistentWidth,
     LabeledDataset,
+    NotPositiveDefinite,
     ParseError,
     ScatterMatrices,
     SingularScatter,
     check_spd,
     geodesic,
+    sample_constraints,
+    scatter_matrices,
     spd_inverse,
     symmetrize,
 )
@@ -29,11 +32,13 @@ from gmml.evaluation import (
     CvResult,
     TScore,
     _pick_best,
+    _standardize,
     default_constraint_count,
     evaluate_split,
     stratified_folds,
 )
 from gmml.io import _encode_labels
+from gmml.learn import solve_basis
 
 
 def rand_spd(rng: np.random.Generator, d: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
@@ -189,11 +194,16 @@ def load_dataset_oracle(path, label_column: int = -1) -> LabeledDataset:
 def cross_validate_t_oracle(
     train, policy, cfg, k, seed, constraint_count=None, standardize=False,
 ) -> CvResult:
-    """Reference cross-validation: one ``evaluate_split`` per (t, fold),
-    each sampling, scattering, solving and classifying on its own.
+    """Reference cross-validation in two phases. Phase one fits every fold
+    in order (sample, scatter, ``solve_basis``): a singular scatter raises
+    SingularScatter naming it, any other error propagates. Phase two runs
+    one ``evaluate_split`` per (t, fold), each solving and classifying on
+    its own; a NotPositiveDefinite there disqualifies that t.
 
     Same contract as :func:`gmml.cross_validate_t`, which scores every t of
-    a fold from one factorization.
+    a fold from one factorization and classifies them together, except for
+    a metric the guard accepts but that has no Cholesky factor: there
+    ``cross_validate_t`` raises and the oracle disqualifies its t.
     """
     if constraint_count is None:
         constraint_count = default_constraint_count(train.num_classes)
@@ -211,26 +221,37 @@ def cross_validate_t_oracle(
         rest = np.setdiff1d(all_idx, fold, assume_unique=True)
         splits.append((train.subset(rest), train.subset(fold), int(fold_seeds[f])))
 
-    singular = []
+    for cv_train, _, fold_seed in splits:
+        points = _standardize(cv_train.points)[0] if standardize else cv_train.points
+        pairs = sample_constraints(cv_train, constraint_count, fold_seed)
+        try:
+            solve_basis(scatter_matrices(points, pairs), cfg)
+        except SingularScatter as exc:
+            raise SingularScatter(exc.which, "every t candidate failed cross-validation") from exc
+
+    rejected = []  # (t, fold) of every NotPositiveDefinite, t by t
 
     def score(t: float, stage: str) -> TScore:
         errors = []
-        for cv_train, cv_val, fold_seed in splits:
+        for f, (cv_train, cv_val, fold_seed) in enumerate(splits):
             try:
                 outcome = evaluate_split(
                     cv_train, cv_val, replace(cfg, t=t), k, constraint_count,
                     fold_seed, standardize=standardize,
                 )
-            except SingularScatter as exc:
-                singular.append(exc)
-                return TScore(t=t, mean_error=None, stage=stage, disqualified=True)
+            except NotPositiveDefinite:
+                rejected.append((t, f))
+                continue
             errors.append(outcome.error_rate)
+        if len(errors) < len(splits):
+            return TScore(t=t, mean_error=None, stage=stage, disqualified=True)
         return TScore(t=t, mean_error=float(np.mean(errors)), stage=stage)
 
     scored = [score(t, "coarse") for t in policy.coarse_grid]
-    winner = _pick_best(scored, singular)
+    first_rejected = rejected[0] if rejected else None
+    winner = _pick_best(scored, first_rejected)
     already = {s.t for s in scored}
     for t in policy.fine_grid(winner):
         if t not in already:
             scored.append(score(t, "fine"))
-    return CvResult(chosen_t=_pick_best(scored, singular), scores=tuple(scored))
+    return CvResult(chosen_t=_pick_best(scored, first_rejected), scores=tuple(scored))

@@ -168,6 +168,21 @@ def test_learn_empty_field_exits_with_data_code(runner, tmp_path, text, message)
     assert message in all_text(result)
 
 
+@pytest.mark.parametrize("text,args", [("1\x1f,0\n2,1\n3,0\n4,1\n", []),
+                                       ("0,\x1f1\n1,2\n0,3\n1,4\n", ["--label-column", "0"])],
+                         ids=["label-last", "label-first"])
+def test_learn_strips_unit_separator_around_a_feature(runner, tmp_path, text, args):
+    # U+001F is whitespace to str.strip() but not to float()
+    path, clean = tmp_path / "us.csv", tmp_path / "clean.csv"
+    path.write_text(text)
+    clean.write_text(text.replace("\x1f", ""))
+    for data, out in ((path, tmp_path / "us.gmml"), (clean, tmp_path / "clean.gmml")):
+        result = runner.invoke(main, ["learn", str(data), *args, "--out", str(out)])
+        assert result.exit_code == 0, all_text(result)
+    assert np.array_equal(load_metric(tmp_path / "us.gmml").matrix,
+                          load_metric(tmp_path / "clean.gmml").matrix)
+
+
 def test_learn_cv_mode_reports_chosen_t(runner, tmp_path):
     path = tmp_path / "aniso.csv"
     write_csv(path, make_anisotropic(np.random.default_rng(2), n_per_class=20))

@@ -39,6 +39,7 @@ from gmml.evaluation import (
     _vote_rows,
     holdout_split,
 )
+from gmml import spd
 from gmml.learn import GeodesicBasis
 from helpers import cross_validate_t_oracle, make_anisotropic, make_blobs
 
@@ -689,17 +690,20 @@ def _cv_problem(points, labels, scale, policy, lam, k, seed, count=None):
     return data, policy, GmmlConfig(lam=lam), k, seed, count, False
 
 
+# A_t fails its SPD check at t = 0.1 on fold 1 and at t = 0.9 on fold 0
+GUARD_FAILS_TWICE = _cv_problem([[-2, -1], [-2, 1], [-2, -3], [3, -2]], [0, 0, 0, 1], 1.0,
+                                CvPolicy(fine_count=1, cv_folds=2), 1e-13, 2, 0)
+# every fold passes at every coarse t but 0.9, whose A_t fails on fold 2
+GUARD_FAILS_AT_09 = _cv_problem([[-1, -2, -2], [-3, 0, -6], [1, 0, 2], [1, 0, 2], [2, -3, 4],
+                                 [-3, 0, -6], [-3, 0, -6], [1, 2, 2], [1, 2, 2], [-3, 0, -6]],
+                                [1, 2, 0, 0, 1, 2, 2, 0, 1, 0], 0.1,
+                                CvPolicy(fine_count=3, cv_folds=3), 1e-13, 1, 6727620)
+
+
 @settings(max_examples=200, deadline=None)
 @given(cv_problems())
-# A_t fails its SPD check at t = 0.1 on fold 1 and at t = 0.9 on fold 0:
-# the per-candidate loop meets (0.1, fold 1) first
-@example(_cv_problem([[-2, -1], [-2, 1], [-2, -3], [3, -2]], [0, 0, 0, 1], 1.0,
-                     CvPolicy(fine_count=1, cv_folds=2), 1e-13, 2, 0))
-# every fold passes at the first coarse t; A_t first fails at t = 0.9 on fold 2
-@example(_cv_problem([[-1, -2, -2], [-3, 0, -6], [1, 0, 2], [1, 0, 2], [2, -3, 4], [-3, 0, -6],
-                      [-3, 0, -6], [1, 2, 2], [1, 2, 2], [-3, 0, -6]],
-                     [1, 2, 0, 0, 1, 2, 2, 0, 1, 0], 0.1,
-                     CvPolicy(fine_count=3, cv_folds=3), 1e-13, 1, 6727620))
+@example(GUARD_FAILS_TWICE)
+@example(GUARD_FAILS_AT_09)
 # a k-th distance that ties exactly under A_t
 @example(_cv_problem([[-1, -2, 3], [-1, -2, 3], [-3, 2, 1], [-1, 3, -2], [2, 1, 1], [2, 0, -1],
                       [1, 2, -1]], [0, 2, 1, 1, 0, 2, 0], 1.0,
@@ -718,74 +722,88 @@ def test_cv_matches_per_candidate_oracle(problem):
         assert got_warnings == expected_warnings
 
 
+@pytest.mark.parametrize("problem, rejected, chosen", [
+    (GUARD_FAILS_TWICE, {0.1, 0.9}, 0.5),
+    (GUARD_FAILS_AT_09, {0.9}, 0.32),
+], ids=["two-t", "one-t"])
+def test_cv_disqualifies_a_t_whose_metric_fails_the_guard(problem, rejected, chosen):
+    result, _ = _cv_outcome(cross_validate_t, problem)
+    assert {s.t for s in result.scores if s.disqualified} == rejected
+    assert result.chosen_t == chosen
+    assert all(s.mean_error is None for s in result.scores if s.disqualified)
+
+
+def test_cv_with_every_t_disqualified_names_the_first_rejected():
+    data, policy, cfg, k, seed, count, standardize = GUARD_FAILS_AT_09
+    policy = dataclasses.replace(policy, coarse_grid=(0.9,))
+    with pytest.raises(NotPositiveDefinite, match=(
+            r"^every t candidate failed cross-validation: the learned metric at "
+            r"t = 0\.9 is not positive definite on fold 2$")):
+        cross_validate_t(data, policy, cfg, k, seed, count, standardize)
+
+
 def test_cv_samples_scatters_and_solves_once_per_fold(monkeypatch):
     calls = Counter()
-    for name in ("sample_constraints", "scatter_matrices", "solve"):
+    for name in ("sample_constraints", "scatter_matrices", "solve_basis"):
         original = getattr(evaluation, name)
         monkeypatch.setattr(evaluation, name,
                             lambda *a, _f=original, _n=name, **kw: calls.update([_n]) or _f(*a, **kw))
     data = make_anisotropic(np.random.default_rng(16), n_per_class=20)
     result = cross_validate_t(data, CvPolicy(cv_folds=5), GmmlConfig(), k=3, seed=0)
     assert len(result.scores) > 5
-    assert calls == {"sample_constraints": 5, "scatter_matrices": 5, "solve": 5}
+    assert calls == {"sample_constraints": 5, "scatter_matrices": 5, "solve_basis": 5}
 
 
 def test_cv_classifies_each_stage_in_one_knn_call_per_fold(monkeypatch):
-    stacks, accepted = [], []
-    knn_labels, check_spd = evaluation._knn_labels, evaluation.check_spd
+    stacks = []
+    checks = Counter()
+    knn_labels, check_spd = evaluation._knn_labels, spd.check_spd
 
     def counting_knn(train_pts, train_labels, a, queries, k):
         stacks.append(a.shape[0])
         return knn_labels(train_pts, train_labels, a, queries, k)
 
-    def recording_check(a, name):
-        try:
-            check_spd(a, name)
-        except NotPositiveDefinite:
-            accepted.append(False)
-            raise
-        accepted.append(True)
-        return a
+    def counting_check(a, name="matrix"):
+        checks[name] += 1
+        return check_spd(a, name)
 
     monkeypatch.setattr(evaluation, "_knn_labels", counting_knn)
-    monkeypatch.setattr(evaluation, "check_spd", recording_check)
+    monkeypatch.setattr(spd, "check_spd", counting_check)
     data = make_anisotropic(np.random.default_rng(16), n_per_class=20)
     result = cross_validate_t(data, CvPolicy(cv_folds=5), GmmlConfig(), k=3, seed=0)
     fine = sum(s.stage == "fine" for s in result.scores)
     assert fine > 0
     assert stacks == [5] * 5 + [fine] * 5
-    assert accepted == []
+    assert not checks
 
-    # A_0.9 fails the guard on fold 2, so only check_spd there gives its error
+    # A_0.9 fails the guard on fold 2 only: that fold classifies the other
+    # four coarse metrics, and 0.9 is disqualified
     stacks.clear()
-    data = LabeledDataset(points=0.1 * np.array(
-        [[-1, -2, -2], [-3, 0, -6], [1, 0, 2], [1, 0, 2], [2, -3, 4], [-3, 0, -6],
-         [-3, 0, -6], [1, 2, 2], [1, 2, 2], [-3, 0, -6]], dtype=float),
-        labels=[1, 2, 0, 0, 1, 2, 2, 0, 1, 0])
-    with pytest.raises(NotPositiveDefinite, match="learned metric is not positive definite"):
-        cross_validate_t(data, CvPolicy(fine_count=3, cv_folds=3), GmmlConfig(lam=1e-13),
-                         k=1, seed=6727620)
-    assert len(stacks) == 3
-    assert accepted and not any(accepted)
+    result, _ = _cv_outcome(cross_validate_t, GUARD_FAILS_AT_09)
+    assert [s.t for s in result.scores if s.disqualified] == [0.9]
+    assert stacks == [5, 5, 4, 2, 2, 2]
+    assert not checks
 
 
-def test_cv_raises_a_cholesky_failure_at_the_oracles_t_and_fold(monkeypatch):
+def test_cv_raises_a_cholesky_failure_from_its_fold_without_retry(monkeypatch):
     # A_0.5 on fold 1 and A_0.3 on fold 2 pass the eigenvalue guard but get
-    # no Cholesky factor. Fold 1's stack meets its failure first; the loop
-    # over t then folds meets (0.3, fold 2) first, and so must the replay.
+    # no Cholesky factor. The folds are classified in order, so fold 1's
+    # stacked factorization raises, and no fold is classified after it.
     poison = {(0.3, 2): None, (0.5, 1): None}
     calls = Counter()
+    factored = []
     matrix, cholesky = GeodesicBasis.matrix, np.linalg.cholesky
 
     def poisoned_matrix(self, t):
         a = matrix(self, t)
-        # one call per fold and t, in fold order, on both paths
+        # one call per fold and t, in fold order
         if (t, calls[t]) in poison:
             poison[t, calls[t]] = a.tobytes()
         calls[t] += 1
         return a
 
     def failing_cholesky(a):
+        factored.append(np.shape(a))
         for m in np.reshape(a, (-1,) + np.shape(a)[-2:]):
             for (t, fold), raw in poison.items():
                 if m.tobytes() == raw:
@@ -797,34 +815,18 @@ def test_cv_raises_a_cholesky_failure_at_the_oracles_t_and_fold(monkeypatch):
     problem = (make_anisotropic(np.random.default_rng(3), n_per_class=15),
                CvPolicy(fine_count=3, cv_folds=3), GmmlConfig(), 3, 0, None, False)
     got, _ = _cv_outcome(cross_validate_t, problem)
-    assert set(poison) == {(0.3, 2), (0.5, 1)} and None not in poison.values()
-    calls.clear()
-    poison.update({key: None for key in poison})
-    expected, _ = _cv_outcome(cross_validate_t_oracle, problem)
-    assert got == expected == (
-        NotPositiveDefinite, "Cholesky factorization failed: poisoned A_0.3 of fold 2"
-    )
+    assert got == (NotPositiveDefinite, "Cholesky factorization failed: poisoned A_0.5 of fold 1")
+    # after the fold fits, one stacked factorization per classified fold:
+    # fold 0's, then fold 1's, which raises and is not retried matrix by matrix
+    assert [shape[0] for shape in factored if len(shape) == 3] == [5, 5]
 
 
-def test_cv_raises_a_classification_error_before_a_later_folds_fitting_error(monkeypatch):
-    # A_0.1 of fold 0 gets no Cholesky factor and fold 1 cannot sample its
-    # pairs: the loop over t then folds meets (0.1, fold 0) first, so fold 1
-    # must not be fitted before fold 0 is classified
-    poisoned = []
+def test_cv_raises_a_later_folds_fitting_error_before_any_classification(monkeypatch):
+    # every fold is fitted before any is classified, so fold 1's sampling
+    # error raises before fold 0's stack is classified
     samples = Counter()
-    matrix, cholesky = GeodesicBasis.matrix, np.linalg.cholesky
-    sample = evaluation.sample_constraints
-
-    def poisoned_matrix(self, t):
-        a = matrix(self, t)
-        if t == 0.1 and not poisoned:
-            poisoned.append(a.tobytes())
-        return a
-
-    def failing_cholesky(a):
-        if any(m.tobytes() in poisoned for m in np.reshape(a, (-1,) + np.shape(a)[-2:])):
-            raise np.linalg.LinAlgError("poisoned A_0.1 of fold 0")
-        return cholesky(a)
+    stacks = []
+    sample, knn_labels = evaluation.sample_constraints, evaluation._knn_labels
 
     def failing_sample(data, count, seed):
         samples["calls"] += 1
@@ -832,18 +834,17 @@ def test_cv_raises_a_classification_error_before_a_later_folds_fitting_error(mon
             raise ValueError("fold 1 cannot sample its pairs")
         return sample(data, count, seed)
 
-    monkeypatch.setattr(GeodesicBasis, "matrix", poisoned_matrix)
-    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    def counting_knn(train_pts, train_labels, a, queries, k):
+        stacks.append(a.shape[0])
+        return knn_labels(train_pts, train_labels, a, queries, k)
+
     monkeypatch.setattr(evaluation, "sample_constraints", failing_sample)
+    monkeypatch.setattr(evaluation, "_knn_labels", counting_knn)
     problem = (make_anisotropic(np.random.default_rng(3), n_per_class=15),
                CvPolicy(fine_count=3, cv_folds=3), GmmlConfig(), 3, 0, None, False)
     got, _ = _cv_outcome(cross_validate_t, problem)
-    poisoned.clear()
-    samples.clear()
-    expected, _ = _cv_outcome(cross_validate_t_oracle, problem)
-    assert got == expected == (
-        NotPositiveDefinite, "Cholesky factorization failed: poisoned A_0.1 of fold 0"
-    )
+    assert got == (ValueError, "fold 1 cannot sample its pairs")
+    assert samples["calls"] == 2 and stacks == []
 
 
 def test_holdout_split_is_stratified_and_deterministic():

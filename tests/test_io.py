@@ -284,6 +284,9 @@ def _outcome(load, path, label_column):
 @example(("1,2,0\n1,2\n", -1))
 @example(("1.5,a,2\n-3,b,4e-3\n", 1))
 @example(("1_000,１２,0\n2,3,1\n", -1))
+# U+001F is stripped like whitespace around a field, by both readers
+@example(("1\x1f,0\n2,1\n3,0\n4,1\n", -1))
+@example(("0,\x1f1\n1,2\n", 0))
 def test_load_dataset_matches_token_oracle(tmp_path_factory, file):
     text, label_column = file
     path = tmp_path_factory.mktemp("oracle") / "data.csv"
