@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from math import isfinite
 from pathlib import Path
 
@@ -69,17 +71,19 @@ def _matrix_hash(m: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _atomic_write(path, text: str) -> None:
-    """Write ``text`` to a fresh temporary file beside ``path``, then rename
-    it over ``path``. The temporary file is made by ``open`` in exclusive
-    mode, so the result has the mode ``open(path, "w")`` gives a new file
-    (0o666 less the umask)."""
+def _atomic_write(path, chunks: Iterable[str]) -> None:
+    """Write the strings of ``chunks``, in order, to a fresh temporary file
+    beside ``path``, then rename it over ``path``. Anything raised while
+    ``chunks`` is consumed removes the temporary file and leaves ``path`` as
+    it was. The temporary file is made by ``open`` in exclusive mode, so
+    the result has the mode ``open(path, "w")`` gives a new file (0o666
+    less the umask)."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     handle = open(tmp, "x")
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -240,11 +244,13 @@ def save_metric(metric: LearnedMetric, path) -> None:
     Stores the full matrix row-major at round-trip precision together with
     the solver configuration echo, the self-check residual, pair counts,
     a creation timestamp, and the provenance's dataset fingerprint, if any.
+    The matrix rows are streamed to the file one at a time, and each
+    distinct entry of the symmetric matrix is formatted once (see
+    :func:`_matrix_rows`); the bytes are those of ``repr`` of every entry.
     """
-    m = metric.matrix
     prov = metric.provenance
     prior = metric.config.prior
-    lines = [
+    header = [
         f"{METRIC_MAGIC} {METRIC_FORMAT_VERSION}",
         f"dim: {metric.dim}",
         f"t: {metric.config.t!r}",
@@ -257,8 +263,34 @@ def save_metric(metric: LearnedMetric, path) -> None:
         f"fingerprint: {prov.fingerprint if prov.fingerprint else 'none'}",
         "matrix:",
     ]
-    lines.extend(" ".join(map(repr, row)) for row in m.tolist())
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, chain((line + "\n" for line in header), _matrix_rows(metric.matrix)))
+
+
+def _matrix_rows(m: np.ndarray) -> Iterator[str]:
+    """The lines of square ``m``, each ``" ".join(map(repr, row)) + "\\n"``.
+
+    Row i takes its entries left of the diagonal from the tokens rows
+    0..i-1 made for column i, and formats only ``m[i, i:]``. A column's
+    tokens are released once its row is written, so at most about d²/4
+    tokens are held at a time. An entry whose bits differ from its
+    mirror's (for an SPD metric only a ±0.0 pair) is formatted on its own.
+    """
+    d = m.shape[0]
+    bits = m.view(np.int64)
+    unmirrored: dict[int, list[int]] = {}
+    for i, j in np.argwhere(np.tril(bits != bits.T, -1)).tolist():
+        unmirrored.setdefault(i, []).append(j)
+    columns = [[] for _ in range(d)]
+    for i in range(d):
+        row = m[i].tolist()
+        tokens, columns[i] = columns[i], None
+        for j in unmirrored.get(i, ()):
+            tokens[j] = repr(row[j])
+        upper = list(map(repr, row[i:]))
+        tokens.extend(upper)
+        yield " ".join(tokens) + "\n"
+        for column, token in zip(columns[i + 1:], upper[1:]):
+            column.append(token)
 
 
 def load_metric(path) -> LearnedMetric:
@@ -364,7 +396,7 @@ def format_report(report: EvalReport, fmt: str) -> str:
 
 def write_report(report: EvalReport, path, fmt: str = "table") -> None:
     """Atomically write :func:`format_report` of ``report``, newline-terminated."""
-    _atomic_write(path, format_report(report, fmt) + "\n")
+    _atomic_write(path, [format_report(report, fmt), "\n"])
 
 
 def read_report(path) -> EvalReport:

@@ -1,7 +1,8 @@
 """Shared test fixtures: random SPD factories, synthetic datasets, the
 arithmetic-harmonic-mean oracle used to cross-check geodesic midpoints, the
 inverse-then-geodesic route used to cross-check ``solve``, the
-token-by-token dataset loader used to cross-check ``load_dataset``, and the
+token-by-token dataset loader used to cross-check ``load_dataset``, the
+entry-by-entry row writer used to cross-check ``save_metric``, and the
 per-candidate loop used to cross-check ``cross_validate_t``."""
 
 from __future__ import annotations
@@ -133,6 +134,12 @@ def write_csv(path, data: LabeledDataset) -> None:
     for p, l in zip(data.points, data.labels):
         rows.append(",".join(repr(float(v)) for v in p) + f",{int(l)}")
     path.write_text("\n".join(rows) + "\n")
+
+
+def metric_rows_oracle(m: np.ndarray) -> str:
+    """Reference text of a metric file's matrix section: every entry of
+    every row formatted with ``repr``, one newline-terminated line a row."""
+    return "".join(" ".join(map(repr, row)) + "\n" for row in m.tolist())
 
 
 def load_dataset_oracle(path, label_column: int = -1) -> LabeledDataset:

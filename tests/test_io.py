@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gmml import (
     CorruptMatrix,
@@ -27,17 +28,28 @@ from gmml import (
     solve,
     write_report,
 )
-from gmml.io import format_report
+import gmml.io
+from gmml.io import _matrix_rows, format_report
 from gmml.learn import LearnedMetric, MetricProvenance
-from helpers import load_dataset_oracle, make_blobs, rand_spd, write_csv
+from helpers import load_dataset_oracle, make_blobs, metric_rows_oracle, rand_spd, write_csv
 
 
 def identity_metric(d=3):
+    return matrix_metric(np.eye(d))
+
+
+def matrix_metric(matrix):
     return LearnedMetric(
-        matrix=np.eye(d),
+        matrix=np.asarray(matrix, dtype=float),
         config=GmmlConfig(),
         provenance=MetricProvenance(sim_count=0, dis_count=0, riccati_residual=0.0),
     )
+
+
+def solved_metric(d, seed=3):
+    rng = np.random.default_rng(seed)
+    return solve(ScatterMatrices(s_mat=rand_spd(rng, d), d_mat=rand_spd(rng, d),
+                                 sim_count=7, dis_count=9))
 
 
 def tiny_report(name="tiny", error=0.25):
@@ -353,11 +365,52 @@ def test_metric_round_trip_bit_exact(tmp_path):
     path = tmp_path / "m.gmml"
     save_metric(metric, path)
     loaded = load_metric(path)
-    assert np.array_equal(loaded.matrix, metric.matrix)
+    assert np.array_equal(loaded.matrix.view(np.int64), metric.matrix.view(np.int64))
     assert loaded.provenance.riccati_residual == metric.provenance.riccati_residual
     assert loaded.provenance.sim_count == 7 and loaded.provenance.dis_count == 9
     assert loaded.config.t == 0.5 and loaded.config.lam == 0.0
     assert loaded.provenance.fingerprint == "n=4 d=4 c=2 hash=beef"
+    # -0.0 == 0.0, so the SPD check accepts this matrix, and only its bits
+    # show a writer that copies an entry's mirror in place of the entry
+    signed_zeros = matrix_metric([[1.0, -0.0], [0.0, 1.0]])
+    save_metric(signed_zeros, path)
+    assert np.array_equal(load_metric(path).matrix.view(np.int64),
+                          signed_zeros.matrix.view(np.int64))
+
+
+HAND_BUILT_SPD = {
+    "subnormals": [[1.0, 5e-324, 0.0], [5e-324, 1.0, -2.2250738585072e-310],
+                   [0.0, -2.2250738585072e-310, 1.0]],
+    "tenths": np.full((4, 4), 0.1) + np.eye(4),
+    "huge": [[4e300, 1e300, -1e300], [1e300, 4e300, 1e300], [-1e300, 1e300, 4e300]],
+    "integers": [[4.0, 1.0, 2.0], [1.0, 5.0, 3.0], [2.0, 3.0, 6.0]],
+    "signed-zeros": [[1.0, -0.0], [0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [solved_metric(d) for d in (1, 2, 3, 17, 64)]
+    + [matrix_metric(m) for m in HAND_BUILT_SPD.values()],
+    ids=[f"solve-d{d}" for d in (1, 2, 3, 17, 64)] + list(HAND_BUILT_SPD),
+)
+def test_metric_matrix_section_is_repr_of_every_entry(tmp_path, metric):
+    path = tmp_path / "m.gmml"
+    save_metric(metric, path)
+    assert path.read_text().split("matrix:\n", 1)[1] == metric_rows_oracle(metric.matrix)
+
+
+MIRROR_PRONE = st.sampled_from([0.0, -0.0, 0.1, 1.0, -1.0, 5e-324, 1e300, float("nan"),
+                                float("inf")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda d: hnp.arrays(np.float64, (d, d), elements=MIRROR_PRONE)))
+def test_matrix_rows_match_the_oracle_on_any_square_matrix(m):
+    # few distinct values, so mirrors often agree bit for bit and sometimes not
+    assert "".join(_matrix_rows(m)) == metric_rows_oracle(m)
+    assert "".join(_matrix_rows(m.T)) == metric_rows_oracle(m.T)
 
 
 def test_metric_truncated_file_never_partial(tmp_path):
@@ -470,6 +523,26 @@ def test_read_report_unknown_field_is_a_parse_error(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="surplus"):
         read_report(path)
+
+
+def test_metric_write_failing_mid_stream_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.gmml"
+    save_metric(identity_metric(3), path)
+    before = path.read_bytes()
+    calls = []
+
+    def failing_repr(x):
+        calls.append(x)
+        if len(calls) == 40:  # in row 2 of 16, after rows 0 and 1 were yielded
+            raise RuntimeError("write failed")
+        return repr(x)
+
+    monkeypatch.setattr(gmml.io, "repr", failing_repr, raising=False)
+    with pytest.raises(RuntimeError, match="write failed"):
+        save_metric(solved_metric(16), path)
+    assert len(calls) == 40
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.gmml"]
 
 
 def test_writers_leave_no_temp_files(tmp_path):
