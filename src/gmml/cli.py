@@ -28,10 +28,10 @@ from .evaluation import (
     SplitPlan,
     _build_report,
     _learn,
+    _pair_count,
     _run_unit,
     _standardize,
     cross_validate_t,
-    default_constraint_count,
     holdout_split,
     run_benchmark,
 )
@@ -155,18 +155,13 @@ def _load_prior(prior: str) -> np.ndarray | None:
     return gio.load_metric(prior).matrix
 
 
-def _resolve(t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine_spacing):
-    """The solver config, the CV policy (None unless --t cv) and the
-    constraint count for a dataset, from the shared options. The CV options
-    are validated even when --t cv is not given."""
+def _resolve(t_value, lam, prior, cv_folds, coarse_grid, fine_count, fine_spacing):
+    """The solver config and the CV policy (None unless --t cv) from the
+    shared options; the CV options are validated even without --t cv."""
     t = GmmlConfig.t if t_value == "cv" else t_value
     cfg = GmmlConfig(t=t, lam=lam, prior=_load_prior(prior))
     policy = CvPolicy(coarse_grid, fine_count, fine_spacing, cv_folds)
-
-    def constraints(data) -> int:
-        return count if count is not None else default_constraint_count(max(data.num_classes, 2))
-
-    return cfg, policy if t_value == "cv" else None, constraints
+    return cfg, policy if t_value == "cv" else None
 
 
 def _match_labels(test, train_names):
@@ -212,9 +207,7 @@ def main():
 def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
               count, cv_folds, coarse_grid, fine_count, fine_spacing, k, out):
     """Learn a metric from one dataset and save it."""
-    cfg, policy, constraints = _resolve(
-        t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine_spacing
-    )
+    cfg, policy = _resolve(t_value, lam, prior, cv_folds, coarse_grid, fine_count, fine_spacing)
 
     total_start = time.perf_counter()
     data = gio.load_dataset(dataset, label_column=label_column)
@@ -222,7 +215,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     if standardize:
         data = replace(data, points=_standardize(data.points)[0])
     fingerprint = gio.fingerprint_dataset(data)
-    resolved_count = constraints(data)
+    resolved_count = _pair_count(count, data)
 
     _echo_dataset(data, fingerprint)
     _echo(
@@ -282,9 +275,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     if (train_path is None) == (data_path is None):
         raise click.UsageError("give either --train/--test or --data")
 
-    cfg, policy, constraints = _resolve(
-        t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine_spacing
-    )
+    cfg, policy = _resolve(t_value, lam, prior, cv_folds, coarse_grid, fine_count, fine_spacing)
 
     total_start = time.perf_counter()
     if data_path is not None:
@@ -306,11 +297,11 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     if metric_path == "identity":
         metric = np.eye(train.n_features)
     elif metric_path is not None:
-        metric = gio.load_metric(metric_path).matrix
+        metric = gio.load_metric(metric_path)
     if metric is None:
         _require_classes(train)
 
-    resolved_count = constraints(train)
+    resolved_count = _pair_count(count, train)
     _echo_dataset(source, fingerprint)
     _echo(
         f"config: metric={metric_path or 'learned'} t={t_value} lambda={lam} "
@@ -326,14 +317,10 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     if metric is None and policy is not None:
         _echo(f"cross-validation chose t={record.chosen_t:.4g}")
 
-    if metric_path is not None:
-        t_mode = metric_path if metric_path == "identity" else "file"
-    else:
-        t_mode = "cv" if policy is not None else f"{cfg.t}"
     report = _build_report(
-        source, [record], fingerprint=fingerprint.compact(), seed=seed, k=k,
-        t_mode=t_mode, lam=lam, constraint_count=resolved_count, n_runs=1,
-        n_folds=1, baseline=metric_path == "identity", standardize=standardize,
+        source, [record], metric, policy, cfg, fingerprint=fingerprint.compact(),
+        seed=seed, k=k, constraint_count=resolved_count, n_runs=1, n_folds=1,
+        standardize=standardize,
     )
 
     _echo(
@@ -373,16 +360,14 @@ def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardiz
                   seed, t_value, lam, prior, count, cv_folds, coarse_grid,
                   fine_count, fine_spacing, k, out, fmt):
     """Repeated-split benchmark with optional CV over t."""
-    cfg, policy, constraints = _resolve(
-        t_value, lam, prior, count, cv_folds, coarse_grid, fine_count, fine_spacing
-    )
+    cfg, policy = _resolve(t_value, lam, prior, cv_folds, coarse_grid, fine_count, fine_spacing)
     plan = SplitPlan(n_runs=runs, n_folds=folds, rng_seed=seed)
 
     data = gio.load_dataset(dataset, label_column=label_column)
     if not baseline:
         _require_classes(data)
     fingerprint = gio.fingerprint_dataset(data)
-    resolved_count = constraints(data)
+    resolved_count = _pair_count(count, data)
 
     _echo_dataset(data, fingerprint)
     _echo(

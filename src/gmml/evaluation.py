@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import LabeledDataset
-from .exceptions import DimensionMismatch, GmmlError, NotPositiveDefinite, SingularScatter
+from .exceptions import DataError, DimensionMismatch, GmmlError, NotPositiveDefinite, SingularScatter
 from .learn import (
     GmmlConfig,
     LearnedMetric,
@@ -170,12 +170,18 @@ class EvalReport:
 def default_constraint_count(c: int) -> int:
     """Default number of sampled pair constraints for c classes: 40c(c-1).
 
-    Returns 0 for c = 1; callers must reject single-class data since
-    metric learning needs at least two classes.
+    Returns 0 for c = 1; the default of the CLI and of the evaluation
+    functions counts a single class as two instead.
     """
     if c < 1:
         raise ValueError(f"class count must be >= 1, got {c}")
     return 40 * c * (c - 1)
+
+
+def _pair_count(count: int | None, data: LabeledDataset) -> int:
+    """``count``, or by default ``default_constraint_count`` of ``data``'s
+    classes, counted as two when it has one (whose pairs are all similar)."""
+    return count if count is not None else default_constraint_count(max(data.num_classes, 2))
 
 
 def sample_constraints(data: LabeledDataset, count: int, seed: int) -> PairConstraints:
@@ -475,7 +481,7 @@ def evaluate_split(
             learned = _learn(train, train_pts, cfg, constraint_count, seed)
         except SingularScatter as exc:
             where = f" (dataset {train.name})" if train.name else ""
-            raise SingularScatter(exc.which, f"while learning{where}") from exc
+            raise SingularScatter(exc.which, f"{exc.detail}, while learning{where}") from exc
         a = learned.matrix
     else:
         a = _metric_array(metric, train.n_features)
@@ -495,21 +501,22 @@ def evaluate_split(
     )
 
 
-def stratified_folds(labels: np.ndarray, n_folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Partition indices into n_folds folds, spreading every class across folds.
-
-    Within-class order is shuffled; assignment deals round-robin with a
-    cursor carried across classes, so fold sizes differ by at most one.
-    """
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
-    cursor = 0
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
+def _by_class(labels: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """The indices of each class of ``labels``, in ``np.unique`` order, each
+    shuffled by ``rng``: the only draws a stratified split makes."""
+    parts = [np.flatnonzero(labels == cls) for cls in np.unique(labels)]
+    for idx in parts:
         rng.shuffle(idx)
-        for i in idx:
-            folds[cursor % n_folds].append(int(i))
-            cursor += 1
-    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+    return parts
+
+
+def stratified_folds(labels: np.ndarray, n_folds: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Partition indices into n_folds sorted folds, spreading every class
+    across folds: the shuffled classes of ``_by_class``, laid end to end, are
+    dealt round-robin, so fold sizes differ by at most one. (The empty head
+    keeps the dtype int64, and the folds empty when there are no labels.)"""
+    order = np.concatenate([np.empty(0, dtype=np.int64), *_by_class(labels, rng)])
+    return [np.sort(order[f::n_folds]) for f in range(n_folds)]
 
 
 def _fold_splits(
@@ -526,17 +533,14 @@ def _fold_splits(
 def holdout_split(
     data: LabeledDataset, fraction: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified train/test split holding out ``fraction`` of each class."""
+    """Stratified train/test split: test takes the first ``round(fraction * m)``
+    of each class's m indices shuffled by ``_by_class``, at least 1, at most m - 1."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"holdout fraction must lie strictly in (0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    test_parts = []
-    for cls in np.unique(data.labels):
-        idx = np.flatnonzero(data.labels == cls)
-        rng.shuffle(idx)
-        n_test = min(max(1, round(fraction * idx.size)), idx.size - 1)
-        test_parts.append(idx[:n_test])
-    test_idx = np.sort(np.concatenate(test_parts))
+    test_idx = np.sort(np.concatenate([
+        idx[:min(max(1, round(fraction * idx.size)), idx.size - 1)]
+        for idx in _by_class(data.labels, np.random.default_rng(seed))
+    ]))
     train_idx = np.setdiff1d(np.arange(data.n_points), test_idx, assume_unique=True)
     return data.subset(train_idx), data.subset(test_idx)
 
@@ -585,13 +589,12 @@ def cross_validate_t(
     every t disqualified, NotPositiveDefinite names the first rejected
     (t, fold), taking the candidates in order.
     """
-    if constraint_count is None:
-        constraint_count = default_constraint_count(train.num_classes)
+    constraint_count = _pair_count(constraint_count, train)
     n = train.n_points
     # fold count degrades on small data, but every fold must keep >= 2 points
     n_folds = min(policy.cv_folds, n // 2)
     if n_folds < 2:
-        raise ValueError(f"cross-validation needs at least 4 points, got {n}")
+        raise DataError(f"cross-validation needs at least 4 points, got {n}")
     rng = np.random.default_rng(seed)
     index_splits = _fold_splits(train.labels, n_folds, rng)
     fold_seeds = rng.integers(0, 2**63 - 1, size=n_folds)
@@ -608,7 +611,8 @@ def cross_validate_t(
         try:
             basis = solve_basis(scatter_matrices(train_pts, pairs), cfg)[0]
         except SingularScatter as exc:
-            raise SingularScatter(exc.which, "every t candidate failed cross-validation") from exc
+            detail = f"{exc.detail}, so every t candidate failed cross-validation"
+            raise SingularScatter(exc.which, detail) from exc
         fits.append((cv_train.labels, train_pts, cv_val.labels, val_pts, basis))
 
     def score(ts: tuple[float, ...], stage: str):
@@ -681,10 +685,19 @@ def _run_unit(
     return record, outcome
 
 
-def _build_report(data: LabeledDataset, records, **fields) -> EvalReport:
-    """The EvalReport of ``records`` on ``data``: its name, label names and
-    the aggregates over the records are taken here, every other field from
-    ``fields``. Failed records count only toward the total time."""
+def _build_report(
+    data: LabeledDataset, records, metric, policy: CvPolicy | None, cfg: GmmlConfig,
+    **fields,
+) -> EvalReport:
+    """The EvalReport of ``records`` on ``data``, every field not derived
+    here taken from ``fields``. ``t_mode``, ``baseline`` and ``lam`` follow
+    from the run's fixed ``metric`` (None when it learned one, a LearnedMetric
+    read from a file, or else the Euclidean baseline's identity), ``policy``
+    and ``cfg``. Failed records count only toward the total time."""
+    if metric is None:
+        t_mode = "cv" if policy is not None else f"{cfg.t}"
+    else:
+        t_mode = "file" if isinstance(metric, LearnedMetric) else "identity"
     errors = [rec.error_rate for rec in records if rec.error_rate is not None]
     learn_times = [rec.learn_time for rec in records if rec.failure is None]
     total_times = [rec.total_time for rec in records]
@@ -696,6 +709,9 @@ def _build_report(data: LabeledDataset, records, **fields) -> EvalReport:
         mean_learn_time=float(np.mean(learn_times)) if learn_times else 0.0,
         mean_total_time=float(np.mean(total_times)) if total_times else 0.0,
         label_names=tuple(data.label_names) if data.label_names else None,
+        t_mode=t_mode,
+        baseline=t_mode == "identity",
+        lam=cfg.lam,
         **fields,
     )
 
@@ -730,8 +746,7 @@ def run_benchmark(
             f"{plan.n_folds} folds need at least {2 * plan.n_folds} points, "
             f"got {data.n_points}"
         )
-    if constraint_count is None:
-        constraint_count = default_constraint_count(max(data.num_classes, 2))
+    constraint_count = _pair_count(constraint_count, data)
     metric = np.eye(data.n_features) if baseline else None
 
     master = np.random.default_rng(plan.rng_seed)
@@ -768,8 +783,7 @@ def run_benchmark(
         records = [work(u) for u in units]
 
     return _build_report(
-        data, records, fingerprint=fingerprint, seed=plan.rng_seed, k=k,
-        t_mode="identity" if baseline else "cv" if policy is not None else f"{cfg.t}",
-        lam=cfg.lam, constraint_count=constraint_count, n_runs=plan.n_runs,
-        n_folds=plan.n_folds, baseline=baseline, standardize=standardize,
+        data, records, metric, policy, cfg, fingerprint=fingerprint, seed=plan.rng_seed,
+        k=k, constraint_count=constraint_count, n_runs=plan.n_runs, n_folds=plan.n_folds,
+        standardize=standardize,
     )

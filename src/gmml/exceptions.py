@@ -25,10 +25,13 @@ class SingularScatter(GmmlError):
     which : str
         Either ``"similarity"`` or ``"dissimilarity"``, naming the matrix
         that failed the positive-definiteness check.
+    detail : str
+        What the check found, which a caller adding context extends.
     """
 
     def __init__(self, which: str, detail: str = ""):
         self.which = which
+        self.detail = detail
         msg = (
             f"{which} scatter matrix is singular or near-singular"
             f"{': ' + detail if detail else ''}; "

@@ -164,15 +164,12 @@ class LearnedMetric:
     ``provenance.riccati_residual`` is the relative residual of
     ``A S A = D`` for the (possibly regularized) scatter pair the solver
     used; it sits at machine precision when ``t = 1/2`` and is recorded
-    as-is for other ``t``. ``basis`` is the factorization :func:`solve`
-    derived the matrix from (None for a metric read from a file), which
-    gives the metric at any other ``t`` without factoring again.
+    as-is for other ``t``.
     """
 
     matrix: np.ndarray
     config: GmmlConfig
     provenance: MetricProvenance
-    basis: GeodesicBasis | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", spd.check_spd(self.matrix, "learned metric"))
@@ -303,8 +300,8 @@ def solve(
 
     The S used is factored once as S = L L^T. With the eigendecomposition
     L^T D L = V diag(w) V^T and P = L^{-T} V, the metric is
-    A = P diag(w^t) P^T; the result keeps (P, w) as its ``basis``, which
-    :func:`solve_basis` computes.
+    A = P diag(w^t) P^T, where (P, w) is the ``GeodesicBasis`` of
+    :func:`solve_basis`.
     """
     basis, s_used, d_used = solve_basis(sc, cfg)
     a = basis.matrix(cfg.t)
@@ -317,5 +314,4 @@ def solve(
             riccati_residual=riccati_residual(a, s_used, d_used),
             fingerprint=fingerprint,
         ),
-        basis=basis,
     )

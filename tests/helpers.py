@@ -2,8 +2,10 @@
 arithmetic-harmonic-mean oracle used to cross-check geodesic midpoints, the
 inverse-then-geodesic route used to cross-check ``solve``, the
 token-by-token dataset loader used to cross-check ``load_dataset``, the
-entry-by-entry row writer used to cross-check ``save_metric``, and the
-per-candidate loop used to cross-check ``cross_validate_t``."""
+entry-by-entry row writer used to cross-check ``save_metric``, the
+per-candidate loop used to cross-check ``cross_validate_t``, and the
+cursor deal and per-class cut used to cross-check ``stratified_folds`` and
+``holdout_split``."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import numpy as np
 
 from gmml import (
     SPD_TOLERANCE,
+    DataError,
     EmptyFile,
     GmmlConfig,
     InconsistentWidth,
@@ -213,12 +216,12 @@ def cross_validate_t_oracle(
     ``cross_validate_t`` raises and the oracle disqualifies its t.
     """
     if constraint_count is None:
-        constraint_count = default_constraint_count(train.num_classes)
+        constraint_count = default_constraint_count(max(train.num_classes, 2))
     n = train.n_points
     # fold count degrades on small data, but every fold must keep >= 2 points
     n_folds = min(policy.cv_folds, n // 2)
     if n_folds < 2:
-        raise ValueError(f"cross-validation needs at least 4 points, got {n}")
+        raise DataError(f"cross-validation needs at least 4 points, got {n}")
     rng = np.random.default_rng(seed)
     folds = stratified_folds(train.labels, n_folds, rng)
     fold_seeds = rng.integers(0, 2**63 - 1, size=n_folds)
@@ -234,7 +237,8 @@ def cross_validate_t_oracle(
         try:
             solve_basis(scatter_matrices(points, pairs), cfg)
         except SingularScatter as exc:
-            raise SingularScatter(exc.which, "every t candidate failed cross-validation") from exc
+            detail = f"{exc.detail}, so every t candidate failed cross-validation"
+            raise SingularScatter(exc.which, detail) from exc
 
     rejected = []  # (t, fold) of every NotPositiveDefinite, t by t
 
@@ -262,3 +266,35 @@ def cross_validate_t_oracle(
         if t not in already:
             scored.append(score(t, "fine"))
     return CvResult(chosen_t=_pick_best(scored, first_rejected), scores=tuple(scored))
+
+
+def stratified_folds_oracle(labels, n_folds, rng) -> list[np.ndarray]:
+    """Reference fold deal: each class's indices shuffled in turn, then dealt
+    one point at a time to fold ``cursor % n_folds``, with the cursor carried
+    across classes. Same contract as :func:`gmml.stratified_folds`."""
+    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    cursor = 0
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        for i in idx:
+            folds[cursor % n_folds].append(int(i))
+            cursor += 1
+    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+
+
+def holdout_split_oracle(data: LabeledDataset, fraction: float, seed: int):
+    """Reference holdout split: each class shuffled and cut in turn. Same
+    contract as :func:`gmml.evaluation.holdout_split`."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"holdout fraction must lie strictly in (0, 1), got {fraction}")
+    rng = np.random.default_rng(seed)
+    test_parts = []
+    for cls in np.unique(data.labels):
+        idx = np.flatnonzero(data.labels == cls)
+        rng.shuffle(idx)
+        n_test = min(max(1, round(fraction * idx.size)), idx.size - 1)
+        test_parts.append(idx[:n_test])
+    test_idx = np.sort(np.concatenate(test_parts))
+    train_idx = np.setdiff1d(np.arange(data.n_points), test_idx, assume_unique=True)
+    return data.subset(train_idx), data.subset(test_idx)

@@ -546,6 +546,42 @@ def test_benchmark_more_folds_than_points_allow_exits_with_argument_code(runner,
     assert "30 folds need at least 60 points, got 40" in result.stderr
 
 
+@pytest.fixture()
+def seven_csv(tmp_path):
+    # 4 + 3 points: a 2-fold split leaves 3 training points in fold 0 and 4 in fold 1
+    path = tmp_path / "seven.csv"
+    path.write_text("0,0\n1,0\n2,0\n3,0\n10,1\n11,1\n12,1\n")
+    return path
+
+
+def test_benchmark_unit_too_small_to_cross_validate_fails_alone(runner, seven_csv, tmp_path):
+    out = tmp_path / "rep.json"
+    result = runner.invoke(main, ["benchmark", str(seven_csv), "--t", "cv", "--runs", "1",
+                                  "--folds", "2", "--lambda", "0.1", "--out", str(out)])
+    assert result.exit_code == 0, all_text(result)
+    assert "run 0 fold 0 failed: cross-validation needs at least 4 points, got 3" in result.stderr
+    doc = json.loads(out.read_text())
+    assert [rec["failure"] is not None for rec in doc["records"]] == [True, False]
+    assert " 1/2\n" in result.stdout
+
+
+@pytest.mark.parametrize("command", [
+    ["learn", "THREE", "--out", "OUT"],
+    ["eval", "--data", "SEVEN", "--holdout", "0.5"],
+], ids=["learn", "eval"])
+def test_cv_on_too_few_training_points_exits_with_data_code(runner, seven_csv, tmp_path,
+                                                           command):
+    # learn trains on all 3 points of its file; eval's holdout of 7 leaves 3
+    three = tmp_path / "three.csv"
+    three.write_text("2,0\n3,0\n10,1\n")
+    paths = {"SEVEN": seven_csv, "THREE": three, "OUT": tmp_path / "m.gmml"}
+    args = [str(paths.get(a, a)) for a in command]
+    result = runner.invoke(main, [*args, "--t", "cv", "--lambda", "0.1"])
+    assert result.exit_code == 3, all_text(result)
+    assert "error: cross-validation needs at least 4 points, got 3" in result.stderr
+    assert not (tmp_path / "m.gmml").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["learn"],
     ["eval", "--data"],

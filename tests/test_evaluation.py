@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from gmml import (
     CvPolicy,
     CvResult,
+    DataError,
     DimensionMismatch,
     GmmlConfig,
     GmmlError,
@@ -41,7 +43,13 @@ from gmml.evaluation import (
 )
 from gmml import spd
 from gmml.learn import GeodesicBasis
-from helpers import cross_validate_t_oracle, make_anisotropic, make_blobs
+from helpers import (
+    cross_validate_t_oracle,
+    holdout_split_oracle,
+    make_anisotropic,
+    make_blobs,
+    stratified_folds_oracle,
+)
 
 
 def strip_timing(report: EvalReport) -> dict:
@@ -499,6 +507,9 @@ def test_evaluate_split_singular_error_names_dataset():
         evaluate_split(data, data, GmmlConfig(t=0.5, lam=0.0), k=3,
                        constraint_count=40, seed=0)
     assert "degenerate" in str(info.value)
+    # the context extends the solver's finding rather than replacing it
+    assert re.search(r": relative min eigenvalue \S+, while learning \(dataset degenerate\);",
+                     str(info.value))
 
 
 def test_evaluate_split_identity_metric_matches_brute_force():
@@ -547,6 +558,56 @@ def test_stratified_folds_deterministic_given_rng_seed():
     a = stratified_folds(labels, 4, np.random.default_rng(5))
     b = stratified_folds(labels, 4, np.random.default_rng(5))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def split_indices(split, data, fraction, seed):
+    """The index arrays ``split(data, fraction, seed)`` hands to ``subset``,
+    and the text of the DataError it raises (None if it raises none)."""
+    seen = []
+    subset = LabeledDataset.subset
+
+    def spy(self, idx):
+        seen.append(idx)
+        return subset(self, idx)
+
+    with mock.patch.object(LabeledDataset, "subset", spy):
+        try:
+            split(data, fraction, seed)
+        except DataError as exc:
+            return seen, str(exc)
+    return seen, None
+
+
+def assert_same_index_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 4), min_size=2, max_size=60),
+    n_folds=st.integers(2, 12),
+    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**64 - 1),
+)
+# a class of one point, which stays wholly in train
+@example(labels=[0, 1, 1, 1, 1, 1, 1], n_folds=3, fraction=0.4, seed=0)
+# a test part of one point, which no dataset can hold
+@example(labels=[0, 0, 0], n_folds=2, fraction=0.2, seed=0)
+def test_splits_match_their_oracles(labels, n_folds, fraction, seed):
+    # the per-class shuffle behind both splits makes the same draws as the
+    # cursor deal and the per-class cut it replaced
+    labels = np.asarray(labels, dtype=np.int64)
+    assert_same_index_arrays(
+        stratified_folds(labels, n_folds, np.random.default_rng(seed)),
+        stratified_folds_oracle(labels, n_folds, np.random.default_rng(seed)),
+    )
+    data = LabeledDataset(points=np.zeros((labels.size, 1)), labels=labels)
+    got, got_error = split_indices(holdout_split, data, fraction, seed)
+    want, want_error = split_indices(holdout_split_oracle, data, fraction, seed)
+    assert_same_index_arrays(got, want)
+    assert got_error == want_error
 
 
 # --------------------------------------------------------------- cross_validate_t
@@ -600,12 +661,29 @@ def test_cv_singular_fold_names_its_scatter():
     with pytest.raises(SingularScatter) as info:
         cross_validate_t(data, CvPolicy(), GmmlConfig(), k=5, seed=0, constraint_count=80)
     assert info.value.which == "dissimilarity"
+    # the context extends the solver's finding rather than replacing it
+    assert re.search(r": relative min eigenvalue \S+, so every t candidate failed "
+                     r"cross-validation;", str(info.value))
 
 
 def test_cv_rejects_tiny_datasets():
+    # a data error, so a benchmark records it against its unit and goes on
     data = LabeledDataset(points=[[0.0], [1.0], [2.0]], labels=[0, 1, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="cross-validation needs at least 4 points, got 3"):
         cross_validate_t(data, CvPolicy(), GmmlConfig(), k=1, seed=0)
+
+
+def test_cv_single_class_data_defaults_its_pair_count():
+    # one class still gets the default count of two classes, as on the
+    # command line: all its pairs are similar, so D is zero unless lambda
+    # blends in the prior
+    data = make_blobs(np.random.default_rng(12), n_per_class=20, centers=((0.0, 0.0),))
+    with pytest.raises(SingularScatter) as info:
+        cross_validate_t(data, CvPolicy(), GmmlConfig(lam=0.0), k=3, seed=0)
+    assert info.value.which == "dissimilarity"
+    result = cross_validate_t(data, CvPolicy(), GmmlConfig(lam=0.5), k=3, seed=0)
+    assert isinstance(result, CvResult)
+    assert all(s.mean_error == 0.0 for s in result.scores)
 
 
 def test_cv_policy_validation():

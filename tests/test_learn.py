@@ -19,6 +19,7 @@ from gmml import (
     scatter_matrices,
     solve,
 )
+from gmml.learn import solve_basis
 from gmml.spd import is_spd, riemannian_distance, spd_inverse, symmetrize
 from helpers import ahm_mean, rand_spd, solve_oracle
 
@@ -450,7 +451,7 @@ def test_solve_identity_prior_factors_once(monkeypatch):
 def test_solve_basis_gives_the_metric_at_every_t():
     rng = np.random.default_rng(24)
     sc = random_sc(rng, 4)
-    basis = solve(sc).basis
+    basis = solve_basis(sc)[0]
     for t in (0.0, 0.1, 0.5, 0.93, 1.0):
         assert np.array_equal(basis.matrix(t), solve(sc, GmmlConfig(t=t)).matrix)
 
