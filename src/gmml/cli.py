@@ -29,6 +29,7 @@ from .evaluation import (
     _build_report,
     _learn,
     _pair_count,
+    _require_classes,
     _run_unit,
     _standardize,
     cross_validate_t,
@@ -180,14 +181,6 @@ def _echo_dataset(data, fingerprint) -> None:
     )
 
 
-def _require_classes(data) -> None:
-    if data.num_classes < 2:
-        raise DataError(
-            f"dataset {data.name!r} has {data.num_classes} class; "
-            "metric learning needs at least 2"
-        )
-
-
 @click.group()
 @click.version_option(__version__, prog_name="gmml")
 def main():
@@ -211,7 +204,6 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
 
     total_start = time.perf_counter()
     data = gio.load_dataset(dataset, label_column=label_column)
-    _require_classes(data)
     if standardize:
         data = replace(data, points=_standardize(data.points)[0])
     fingerprint = gio.fingerprint_dataset(data)
@@ -223,6 +215,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
         f"k={k} seed={seed} standardize={standardize}",
         err=True,
     )
+    _require_classes(data)
 
     if policy is not None:
         cv = cross_validate_t(data, policy, cfg, k, seed, constraint_count=resolved_count)
@@ -298,8 +291,6 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
         metric = np.eye(train.n_features)
     elif metric_path is not None:
         metric = gio.load_metric(metric_path)
-    if metric is None:
-        _require_classes(train)
 
     resolved_count = _pair_count(count, train)
     _echo_dataset(source, fingerprint)
@@ -309,6 +300,8 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
         f"standardize={standardize} train_n={train.n_points} test_n={test.n_points}",
         err=True,
     )
+    if metric is None:
+        _require_classes(train)
 
     record, outcome = _run_unit(
         train, test, policy, cfg, k, resolved_count, seed, seed,
@@ -364,8 +357,6 @@ def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardiz
     plan = SplitPlan(n_runs=runs, n_folds=folds, rng_seed=seed)
 
     data = gio.load_dataset(dataset, label_column=label_column)
-    if not baseline:
-        _require_classes(data)
     fingerprint = gio.fingerprint_dataset(data)
     resolved_count = _pair_count(count, data)
 

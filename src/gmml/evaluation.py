@@ -184,6 +184,14 @@ def _pair_count(count: int | None, data: LabeledDataset) -> int:
     return count if count is not None else default_constraint_count(max(data.num_classes, 2))
 
 
+def _require_classes(data: LabeledDataset) -> None:
+    if data.num_classes < 2:
+        raise DataError(
+            f"dataset {data.name!r} has {data.num_classes} class; "
+            "metric learning needs at least 2"
+        )
+
+
 def sample_constraints(data: LabeledDataset, count: int, seed: int) -> PairConstraints:
     """Draw `count` unordered point pairs uniformly at random.
 
@@ -193,8 +201,6 @@ def sample_constraints(data: LabeledDataset, count: int, seed: int) -> PairConst
     match and in the dissimilar set otherwise. Deterministic given seed.
     """
     n = data.n_points
-    if n < 2:
-        raise ValueError("constraint sampling needs at least 2 points")
     if count < 1:
         raise ValueError(f"constraint count must be >= 1, got {count}")
     universe = n * (n - 1) // 2
@@ -534,7 +540,8 @@ def holdout_split(
     data: LabeledDataset, fraction: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified train/test split: test takes the first ``round(fraction * m)``
-    of each class's m indices shuffled by ``_by_class``, at least 1, at most m - 1."""
+    of each class's m indices shuffled by ``_by_class``, at least 1, at most m - 1.
+    DataError when either side would hold fewer than 2 points."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"holdout fraction must lie strictly in (0, 1), got {fraction}")
     test_idx = np.sort(np.concatenate([
@@ -542,6 +549,11 @@ def holdout_split(
         for idx in _by_class(data.labels, np.random.default_rng(seed))
     ]))
     train_idx = np.setdiff1d(np.arange(data.n_points), test_idx, assume_unique=True)
+    if min(train_idx.size, test_idx.size) < 2:
+        raise DataError(
+            f"holdout {fraction} of {data.n_points} points leaves {train_idx.size} "
+            f"training and {test_idx.size} test points; each side needs at least 2"
+        )
     return data.subset(train_idx), data.subset(test_idx)
 
 
@@ -665,20 +677,15 @@ def _run_unit(
     is not, then learn on ``train`` (or use the fixed ``metric``) and
     classify ``test``. The record's ``chosen_t`` is None for a fixed metric
     and its ``total_time`` runs from ``start``."""
-    if metric is not None:
-        chosen_t = None
-    elif policy is not None:
-        chosen_t = cross_validate_t(
-            train, policy, cfg, k, cv_seed, constraint_count, standardize
-        ).chosen_t
-    else:
-        chosen_t = cfg.t
+    if metric is None and policy is not None:
+        cv = cross_validate_t(train, policy, cfg, k, cv_seed, constraint_count, standardize)
+        cfg = replace(cfg, t=cv.chosen_t)
     outcome = evaluate_split(
-        train, test, cfg if chosen_t is None else replace(cfg, t=chosen_t), k,
-        constraint_count, eval_seed, metric=metric, standardize=standardize,
+        train, test, cfg, k, constraint_count, eval_seed, metric=metric, standardize=standardize,
     )
     record = RunRecord(
-        run=run, fold=fold, error_rate=outcome.error_rate, chosen_t=chosen_t,
+        run=run, fold=fold, error_rate=outcome.error_rate,
+        chosen_t=None if metric is not None else cfg.t,
         learn_time=outcome.learn_time, total_time=time.perf_counter() - start,
         n_train=train.n_points, n_test=test.n_points,
     )
@@ -735,12 +742,13 @@ def run_benchmark(
     run). When ``policy`` is given, t is cross-validated on the training
     part of every split; otherwise cfg.t is used as-is. Failures are
     recorded per unit without aborting the remaining runs. Deterministic
-    given plan.rng_seed, up to wall-clock fields. Every fold must hold at
-    least 2 points, so the data needs n >= 2 * plan.n_folds (ValueError
-    otherwise).
+    given plan.rng_seed, up to wall-clock fields. Unless ``baseline``, the
+    data needs at least 2 classes (DataError otherwise). Every fold must
+    hold at least 2 points, so the data needs n >= 2 * plan.n_folds
+    (ValueError otherwise).
     """
-    if not baseline and data.num_classes < 2:
-        raise ValueError("metric learning needs at least 2 classes")
+    if not baseline:
+        _require_classes(data)
     if data.n_points < 2 * plan.n_folds:
         raise ValueError(
             f"{plan.n_folds} folds need at least {2 * plan.n_folds} points, "

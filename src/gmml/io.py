@@ -297,9 +297,10 @@ def load_metric(path) -> LearnedMetric:
     """Read a metric file written by :func:`save_metric`.
 
     Skips an optional UTF-8 byte-order mark and refuses unknown format
-    versions. The stored matrix must be SPD; CorruptMatrix otherwise. Only
-    the prior's hash is stored, not the prior, so the returned config
-    carries ``prior=None``.
+    versions. A matrix entry that is not a finite number is a ParseError
+    naming its line and token. The stored matrix must be SPD; CorruptMatrix
+    otherwise. Only the prior's hash is stored, not the prior, so the
+    returned config carries ``prior=None``.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8-sig").splitlines()
@@ -337,13 +338,18 @@ def load_metric(path) -> LearnedMetric:
     fp = fields.get("fingerprint", "none")
 
     entries = []
-    for offset, line in enumerate(lines[matrix_start:]):
+    for lineno, line in enumerate(lines[matrix_start:], start=matrix_start + 1):
         if not line.strip():
             continue
+        tokens = line.split()
         try:
-            entries.append([float(tok) for tok in line.split()])
+            row = [float(tok) for tok in tokens]
         except ValueError as exc:
-            raise ParseError(f"bad matrix entry: {exc}", matrix_start + offset + 1) from None
+            raise ParseError(f"bad matrix entry: {exc}", lineno) from None
+        if not all(map(isfinite, row)):
+            tok = next(tok for tok, value in zip(tokens, row) if not isfinite(value))
+            raise ParseError(f"non-finite matrix entry {tok!r}", lineno)
+        entries.append(row)
     if len(entries) != dim or any(len(row) != dim for row in entries):
         raise CorruptMatrix(
             f"{path} declares dim {dim} but its matrix section is "

@@ -254,6 +254,8 @@ def solve_basis(
     ``cfg.lam > 0``). Raises every error of :func:`solve` except the check
     of the metric at ``cfg.t``.
     """
+    if cfg.prior is not None:
+        cfg.prior_for_dim(sc.dim)  # a prior of the wrong size fails whatever lam is
     if cfg.lam == 0.0:
         for which, (lo, hi) in sc.extreme_eigenvalues.items():
             if not spd._relative_guard(np.array((lo, hi))):
@@ -297,6 +299,8 @@ def solve(
     when the raw scatters are merely positive semi-definite; large ``lam``
     pulls the result toward the prior. With ``lam = 0`` both scatters must
     be strictly SPD, otherwise SingularScatter names the first that is not.
+    A given prior must match the scatters' dimension, whatever ``lam`` is
+    (DimensionMismatch otherwise).
 
     The S used is factored once as S = L L^T. With the eigendecomposition
     L^T D L = V diag(w) V^T and P = L^{-T} V, the metric is

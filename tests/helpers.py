@@ -297,4 +297,9 @@ def holdout_split_oracle(data: LabeledDataset, fraction: float, seed: int):
         test_parts.append(idx[:n_test])
     test_idx = np.sort(np.concatenate(test_parts))
     train_idx = np.setdiff1d(np.arange(data.n_points), test_idx, assume_unique=True)
+    if train_idx.size < 2 or test_idx.size < 2:
+        raise DataError(
+            f"holdout {fraction} of {data.n_points} points leaves {train_idx.size} "
+            f"training and {test_idx.size} test points; each side needs at least 2"
+        )
     return data.subset(train_idx), data.subset(test_idx)

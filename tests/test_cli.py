@@ -20,6 +20,7 @@ from gmml import (
     ConvergenceError,
     CorruptMatrix,
     GmmlConfig,
+    NotPositiveDefinite,
     ParseError,
     ScatterMatrices,
     check_spd,
@@ -32,6 +33,7 @@ from gmml import (
 )
 from gmml.cli import main
 from gmml.io import _matrix_hash
+from gmml.spd import sym_eigen
 from gmml.learn import LearnedMetric, MetricProvenance
 from gmml.evaluation import TIMING_FIELDS
 from helpers import make_anisotropic, make_blobs, write_csv
@@ -453,13 +455,16 @@ def test_benchmark_failing_eigensolver_records_every_unit(runner, overflowing_cs
 def test_failing_eigensolver_is_a_convergence_error(runner, blobs_csv, tmp_path,
                                                     monkeypatch):
     # numpy's LinAlgError is a ValueError subclass, which would exit 2
-    def failing_eigvalsh(a):
+    def failing_eigensolver(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigensolver)
     message = "symmetric eigensolver failed: Eigenvalues did not converge"
     with pytest.raises(ConvergenceError, match=message):
         check_spd(np.eye(2))
+    with pytest.raises(ConvergenceError, match=message):
+        sym_eigen(np.eye(2))
     with pytest.raises(ConvergenceError, match=message):
         ScatterMatrices(s_mat=np.eye(2), d_mat=np.eye(2), sim_count=1, dis_count=1)
     out = tmp_path / "m.gmml"
@@ -643,8 +648,54 @@ def test_single_class_data_fails_only_where_a_metric_is_learned(runner, tmp_path
     result = runner.invoke(main, args)
     assert result.exit_code == code, all_text(result)
     if code == 3:
+        # a check that needs the data comes after the config echo
+        assert "config:" in result.stderr
         assert "dataset 'one' has 1 class" in result.stderr
         assert not (tmp_path / "m.gmml").exists()
+
+
+def test_holdout_leaving_a_side_too_small_names_the_split(runner, tmp_path):
+    three = tmp_path / "three.csv"
+    three.write_text("0,0\n1,0\n2,0\n")
+    result = runner.invoke(main, ["eval", "--data", str(three), "--metric", "identity",
+                                  "--holdout", "0.2"])
+    assert result.exit_code == 3, all_text(result)
+    assert ("error: holdout 0.2 of 3 points leaves 2 training and 1 test points; "
+            "each side needs at least 2") in result.stderr
+
+
+@pytest.mark.parametrize("lam", ["0", "0.5"])
+def test_learn_prior_of_another_dimension_exits_with_data_code(runner, blobs_csv, tmp_path,
+                                                               lam):
+    # a saved 3x3 metric as the prior of 2-feature data
+    prior, out = tmp_path / "m3.gmml", tmp_path / "m.gmml"
+    save_metric(LearnedMetric(matrix=np.eye(3), config=GmmlConfig(),
+                              provenance=MetricProvenance(0, 0, 0.0)), prior)
+    result = runner.invoke(main, ["learn", str(blobs_csv), "--prior", str(prior),
+                                  "--lambda", lam, "--out", str(out)])
+    assert result.exit_code == 3, all_text(result)
+    assert "error: prior has dimension 3, data has 2" in result.stderr
+    assert not out.exists()
+
+
+def test_non_positive_whitened_eigenvalue_exits_with_numerical_code(runner, blobs_csv,
+                                                                    tmp_path, monkeypatch):
+    # on an ill-conditioned scatter pair, rounding alone can give L^T D L a
+    # negative eigenvalue whose sign has no correct digit, so the eigensolver
+    # gmml.learn calls is stubbed to return one
+    def shifted(m):
+        w, v = sym_eigen(m)
+        return np.concatenate(([-1.188e-08], w[1:])), v
+
+    monkeypatch.setattr(gmml.learn.spd, "sym_eigen", shifted)
+    message = "dissimilarity scatter is not positive definite (whitened min eigenvalue -1.188e-08)"
+    with pytest.raises(NotPositiveDefinite, match=re.escape(message)):
+        solve(ScatterMatrices(s_mat=np.eye(2), d_mat=np.eye(2), sim_count=1, dis_count=1))
+    out = tmp_path / "m.gmml"
+    result = runner.invoke(main, ["learn", str(blobs_csv), "--out", str(out)])
+    assert result.exit_code == 4, all_text(result)
+    assert f"error: {message}" in result.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, error, message", [
@@ -653,7 +704,13 @@ def test_single_class_data_fails_only_where_a_metric_is_learned(runner, tmp_path
      "malformed header"),
     (lambda text: text.replace("\n0.0 1.0\n", "\n0.0 one\n"), ParseError,
      "line 13: bad matrix entry"),
-], ids=["empty", "no-dim", "non-numeric-entry"])
+    (lambda text: text.replace("\n0.0 1.0\n", "\nnan 1.0\n"), ParseError,
+     "line 13: non-finite matrix entry 'nan'"),
+    (lambda text: text.replace("\n1.0 0.0\n", "\n1.0 inf\n"), ParseError,
+     "line 12: non-finite matrix entry 'inf'"),
+    (lambda text: text.replace("\n0.0 1.0\n", "\n0.0 1e400\n"), ParseError,
+     "line 13: non-finite matrix entry '1e400'"),
+], ids=["empty", "no-dim", "non-numeric-entry", "nan-entry", "inf-entry", "overflowing-entry"])
 def test_corrupt_metric_file_exits_with_data_code(runner, blobs_csv, tmp_path, edit, error,
                                                   message):
     path = tmp_path / "m.gmml"

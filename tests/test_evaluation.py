@@ -83,6 +83,21 @@ def test_default_constraint_count_values():
         default_constraint_count(0)
 
 
+# ---------------------------------------------------------------- LabeledDataset
+
+@pytest.mark.parametrize("points, labels, message", [
+    (np.zeros(4), [0, 1, 0, 1], r"points must be a 2-d array, got shape \(4,\)"),
+    ([[0.0]], [0], "dataset needs n >= 2 points and d >= 1 features, got n=1, d=1"),
+    (np.zeros((4, 1)), [0, 1, 0], r"labels must have shape \(4,\), got \(3,\)"),
+    ([[0.0], [np.inf], [1.0]], [0, 1, 0], "points contain non-finite values"),
+    (np.zeros((3, 1)), [0, -1, 1], "labels must be nonnegative class codes"),
+], ids=["points-1d", "one-point", "labels-short", "points-inf", "label-negative"])
+def test_dataset_rejects_malformed_arrays(points, labels, message):
+    # every consumer, sample_constraints included, relies on n >= 2
+    with pytest.raises(DataError, match=message):
+        LabeledDataset(points=points, labels=labels)
+
+
 # ---------------------------------------------------------- sample_constraints
 
 def test_sample_two_points_same_class():
@@ -593,7 +608,7 @@ def assert_same_index_arrays(got, want):
 )
 # a class of one point, which stays wholly in train
 @example(labels=[0, 1, 1, 1, 1, 1, 1], n_folds=3, fraction=0.4, seed=0)
-# a test part of one point, which no dataset can hold
+# a test part of one point, which holdout_split refuses
 @example(labels=[0, 0, 0], n_folds=2, fraction=0.2, seed=0)
 def test_splits_match_their_oracles(labels, n_folds, fraction, seed):
     # the per-class shuffle behind both splits makes the same draws as the
@@ -1024,7 +1039,7 @@ def test_benchmark_cv_mode_records_chosen_t():
 def test_benchmark_rejects_single_class_unless_baseline():
     rng = np.random.default_rng(21)
     data = LabeledDataset(points=rng.standard_normal((10, 2)), labels=np.zeros(10, dtype=int))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="has 1 class; metric learning needs at least 2"):
         run_benchmark(data, SplitPlan(n_runs=1, n_folds=2, rng_seed=0), None, GmmlConfig())
     report = run_benchmark(
         data, SplitPlan(n_runs=1, n_folds=2, rng_seed=0), None, GmmlConfig(),
@@ -1051,13 +1066,24 @@ def test_split_plan_validation():
         SplitPlan(n_folds=1)
 
 
+def report_of(record: RunRecord) -> EvalReport:
+    return EvalReport(
+        dataset_name="x", fingerprint=None, seed=0, k=5, t_mode="0.5",
+        lam=0.0, constraint_count=1, n_runs=1, n_folds=1, baseline=False,
+        standardize=False, records=(record,), mean_error=0.0, std_error=0.0,
+        mean_learn_time=0.0, mean_total_time=0.0,
+    )
+
+
 def test_eval_report_rejects_out_of_range_error():
     record = RunRecord(run=0, fold=0, error_rate=1.5, chosen_t=None,
                        learn_time=0.0, total_time=0.0, n_train=1, n_test=1)
-    with pytest.raises(ValueError):
-        EvalReport(
-            dataset_name="x", fingerprint=None, seed=0, k=5, t_mode="0.5",
-            lam=0.0, constraint_count=1, n_runs=1, n_folds=1, baseline=False,
-            standardize=False, records=(record,), mean_error=1.5, std_error=0.0,
-            mean_learn_time=0.0, mean_total_time=0.0,
-        )
+    with pytest.raises(ValueError, match=r"error rate out of \[0, 1\]: 1.5"):
+        report_of(record)
+
+
+def test_eval_report_rejects_a_negative_time():
+    record = RunRecord(run=0, fold=0, error_rate=0.0, chosen_t=None,
+                       learn_time=0.0, total_time=-1.0, n_train=1, n_test=1)
+    with pytest.raises(ValueError, match="negative wall-clock time in record"):
+        report_of(record)

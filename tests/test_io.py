@@ -443,6 +443,13 @@ def test_metric_non_spd_content_rejected(tmp_path):
         load_metric(path)
 
 
+def test_metric_blank_lines_in_the_matrix_section_are_skipped(tmp_path):
+    path = tmp_path / "m.gmml"
+    save_metric(identity_metric(2), path)
+    path.write_text(path.read_text().replace("\n1.0 0.0\n", "\n\n1.0 0.0\n  \n", 1) + "\n")
+    assert np.array_equal(load_metric(path).matrix, np.eye(2))
+
+
 def test_metric_load_checks_spd_once(tmp_path, monkeypatch):
     path = tmp_path / "m.gmml"
     save_metric(identity_metric(3), path)

@@ -121,6 +121,20 @@ def test_scatter_rejects_out_of_range_pair():
         scatter_matrices(pts, pairs)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ScatterMatrices(s_mat=np.eye(2), d_mat=np.eye(3), sim_count=0, dis_count=0),
+     DimensionMismatch, r"scatter matrices have mismatched shapes \(2, 2\) and \(3, 3\)"),
+    (lambda: ScatterMatrices(s_mat=np.diag([1.0, -1.0]), d_mat=np.eye(2), sim_count=0,
+                             dis_count=0),
+     ValueError, "similarity scatter matrix is not positive semi-definite"),
+    (lambda: scatter_matrices(np.zeros(4), PairConstraints(sim_pairs=[[0, 1]], dis_pairs=[])),
+     DimensionMismatch, r"points must be 2-d, got shape \(4,\)"),
+], ids=["shapes", "indefinite", "points-1d"])
+def test_scatter_rejects_malformed_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_scatter_accepts_dataset_argument():
     rng = np.random.default_rng(2)
     data = LabeledDataset(points=rng.standard_normal((6, 2)), labels=np.zeros(6, dtype=int))
@@ -152,6 +166,13 @@ def test_objective_minimal_at_closed_form():
         if not is_spd(probe):
             continue
         assert base <= objective(probe, sc) + 1e-10
+
+
+@pytest.mark.parametrize("cost", [objective, objective_gradient])
+def test_cost_rejects_a_metric_of_another_dimension(cost):
+    sc = ScatterMatrices(s_mat=np.eye(2), d_mat=np.eye(2), sim_count=0, dis_count=0)
+    with pytest.raises(DimensionMismatch, match="metric dim 3 vs scatter dim 2"):
+        cost(np.eye(3), sc)
 
 
 # --------------------------------------------------------- objective_gradient
@@ -338,6 +359,11 @@ def test_solve_regularized_custom_prior():
     prior = rand_spd(rng, 3, 0.8, 1.2)
     a = solve(sc, GmmlConfig(t=0.5, lam=1e8, prior=prior)).matrix
     assert riemannian_distance(a, prior) <= 1e-3
+
+
+def test_riccati_residual_is_absolute_when_d_is_zero():
+    a, s = 2.0 * np.eye(2), np.eye(2)
+    assert riccati_residual(a, s, np.zeros((2, 2))) == np.linalg.norm(4.0 * np.eye(2))
 
 
 def spd_with_cond(rng, d, cond, scale=1.0):

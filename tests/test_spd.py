@@ -13,6 +13,7 @@ from gmml.spd import (
     riemannian_distance,
     sld_divergence,
     spd_inverse,
+    spd_mask,
     spd_power,
     sym_eigen,
     symmetrize,
@@ -43,6 +44,11 @@ def test_symmetrize_is_exact():
     for _ in range(20):
         s = symmetrize(rng.standard_normal((6, 6)))
         assert np.array_equal(s, s.T)
+
+
+def test_symmetrize_rejects_an_empty_matrix():
+    with pytest.raises(DimensionMismatch, match="matrix must have dimension >= 1"):
+        symmetrize(np.zeros((0, 0)))
 
 
 def test_symmetrize_rejects_non_square():
@@ -300,6 +306,20 @@ def test_check_spd_relative_tolerance_guard():
     with pytest.raises(NotPositiveDefinite):
         check_spd(bad)
     assert is_spd(np.diag([1.0, 1e-6]))
+
+
+@pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 3))], ids=["vector", "wide"])
+def test_is_spd_is_false_for_a_non_square_array(m):
+    assert is_spd(m) is False
+
+
+def test_spd_mask_rejects_a_stack_the_eigensolver_fails_on(monkeypatch):
+    def failing_eigvalsh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    mask = spd_mask(np.stack([np.eye(2), 2.0 * np.eye(2)]))
+    assert mask.dtype == bool and mask.tolist() == [False, False]
 
 
 def test_spd_inverse_matches_numpy():
