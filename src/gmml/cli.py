@@ -150,17 +150,12 @@ def _cv_options(fn):
     return fn
 
 
-def _load_prior(prior: str) -> np.ndarray | None:
-    if prior == "identity":
-        return None
-    return gio.load_metric(prior).matrix
-
-
 def _resolve(t_value, lam, prior, cv_folds, coarse_grid, fine_count, fine_spacing):
     """The solver config and the CV policy (None unless --t cv) from the
     shared options; the CV options are validated even without --t cv."""
     t = GmmlConfig.t if t_value == "cv" else t_value
-    cfg = GmmlConfig(t=t, lam=lam, prior=_load_prior(prior))
+    prior_matrix = None if prior == "identity" else gio.load_metric(prior).matrix
+    cfg = GmmlConfig(t=t, lam=lam, prior=prior_matrix)
     policy = CvPolicy(coarse_grid, fine_count, fine_spacing, cv_folds)
     return cfg, policy if t_value == "cv" else None
 

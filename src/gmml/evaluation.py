@@ -168,20 +168,17 @@ class EvalReport:
 
 
 def default_constraint_count(c: int) -> int:
-    """Default number of sampled pair constraints for c classes: 40c(c-1).
-
-    Returns 0 for c = 1; the default of the CLI and of the evaluation
-    functions counts a single class as two instead.
-    """
+    """Default number of sampled pair constraints for c classes: 40c(c-1),
+    with one class counted as two (its pairs are all similar)."""
     if c < 1:
         raise ValueError(f"class count must be >= 1, got {c}")
+    c = max(c, 2)
     return 40 * c * (c - 1)
 
 
 def _pair_count(count: int | None, data: LabeledDataset) -> int:
-    """``count``, or by default ``default_constraint_count`` of ``data``'s
-    classes, counted as two when it has one (whose pairs are all similar)."""
-    return count if count is not None else default_constraint_count(max(data.num_classes, 2))
+    """``count``, or by default ``default_constraint_count`` of ``data``'s classes."""
+    return count if count is not None else default_constraint_count(data.num_classes)
 
 
 def _require_classes(data: LabeledDataset) -> None:
@@ -248,13 +245,11 @@ def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
     return int(candidates[best[0]])
 
 
-# A block of queries gets about this many query x train distances at once,
-# over all metrics of a stack, which caps the classifier's temporary memory
-# whatever the test set size.
+# The classifier's one memory budget, in floats: a chunk of a metric stack
+# holds about this many train embeddings (one n x d copy of train per
+# metric), and a block of queries about this many query x train distances
+# over the chunk's metrics, whatever the stack and test set sizes.
 _BLOCK_ELEMENTS = 2**14
-# A stack of metrics is classified in chunks whose train embeddings (one
-# n x d copy of train per metric) hold at most about this many floats.
-_EMBED_ELEMENTS = 2**18
 # numpy's einsum sums a two-feature row in another order when it is given
 # fewer than three rows, so recomputing at least three candidates keeps every
 # recomputed distance bit-identical to the one _distances_to_all gives on all
@@ -344,9 +339,9 @@ def _knn_labels(
     above its _MIN_CANDIDATES-th when k is smaller. Those candidates get
     their exact distances back, and ``_vote`` on them sees the same voters
     as on all of train: duplicates, ties at the k-th distance and vote ties
-    are decided the same way. The stack is embedded in chunks of at most
-    _EMBED_ELEMENTS train floats, and a block holds about _BLOCK_ELEMENTS
-    distances, so memory stays bounded whatever T and the query count.
+    are decided the same way. One budget, _BLOCK_ELEMENTS floats, bounds
+    both a chunk of the stack's train embeddings and a block's distances,
+    so memory stays bounded whatever T and the query count.
 
     Raises ValueError when k < 1, and NotPositiveDefinite when a matrix of
     ``a`` is not symmetric or has no Cholesky factor.
@@ -367,7 +362,7 @@ def _knn_labels(
     scale = (d + 3) ** 2 * _EPS * np.trace(a, axis1=1, axis2=2)
     pick = min(n, max(k, _MIN_CANDIDATES)) - 1
     predicted = np.empty((a.shape[0], queries.shape[0]), dtype=np.int64)
-    per_chunk = max(1, _EMBED_ELEMENTS // (n * d))
+    per_chunk = max(1, _BLOCK_ELEMENTS // (n * d))
     for first in range(0, a.shape[0], per_chunk):
         chunk = low[first:first + per_chunk]
         m = chunk.shape[0]
@@ -743,12 +738,14 @@ def run_benchmark(
     part of every split; otherwise cfg.t is used as-is. Failures are
     recorded per unit without aborting the remaining runs. Deterministic
     given plan.rng_seed, up to wall-clock fields. Unless ``baseline``, the
-    data needs at least 2 classes (DataError otherwise). Every fold must
-    hold at least 2 points, so the data needs n >= 2 * plan.n_folds
-    (ValueError otherwise).
+    data needs at least 2 classes (DataError otherwise) and a prior of
+    ``cfg`` must match its dimension (DimensionMismatch otherwise), before
+    any unit runs. Every fold must hold at least 2 points, so the data
+    needs n >= 2 * plan.n_folds (ValueError otherwise).
     """
     if not baseline:
         _require_classes(data)
+        cfg.prior_for_dim(data.n_features)
     if data.n_points < 2 * plan.n_folds:
         raise ValueError(
             f"{plan.n_folds} folds need at least {2 * plan.n_folds} points, "

@@ -25,6 +25,7 @@ from .dataset import LabeledDataset
 from .evaluation import EvalReport, RunRecord
 from .exceptions import (
     CorruptMatrix,
+    DataError,
     EmptyFile,
     InconsistentWidth,
     NotPositiveDefinite,
@@ -52,22 +53,21 @@ class DatasetFingerprint:
 
 def fingerprint_dataset(data: LabeledDataset) -> DatasetFingerprint:
     """Stable fingerprint: changes iff points or labels change."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(repr(data.points.shape).encode())
-    h.update(np.ascontiguousarray(data.points, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(data.labels, dtype=np.int64).tobytes())
     return DatasetFingerprint(
         n=data.n_points,
         d=data.n_features,
         c=data.num_classes,
-        content_hash=h.hexdigest(),
+        content_hash=_matrix_hash(data.points, data.labels),
     )
 
 
-def _matrix_hash(m: np.ndarray) -> str:
+def _matrix_hash(m: np.ndarray, *more: np.ndarray) -> str:
+    """64-bit blake2b hex digest of ``m``'s shape, then of the bytes of
+    ``m`` and of each array of ``more``, in order."""
     h = hashlib.blake2b(digest_size=8)
     h.update(repr(m.shape).encode())
-    h.update(np.ascontiguousarray(m, dtype=np.float64).tobytes())
+    for a in (m, *more):
+        h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
 
@@ -115,7 +115,8 @@ def load_dataset(path, label_column: int = -1) -> LabeledDataset:
     the first row's; :class:`ParseError` when ``label_column`` is out of
     range; then :class:`ParseError` at the first row, in file order, with
     an empty label or a non-numeric or non-finite feature (the first bad
-    token of that row is named).
+    token of that row is named); :class:`DataError` naming the file when
+    it has only one data row.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8-sig").splitlines()
@@ -123,6 +124,8 @@ def load_dataset(path, label_column: int = -1) -> LabeledDataset:
     if parsed is None:
         parsed = _read_token_by_token(path, lines, label_column)
     features, label_tokens = parsed
+    if len(label_tokens) < 2:
+        raise DataError(f"{path} has 1 data row; a dataset needs at least 2")
     labels, label_names = _encode_labels(label_tokens)
     return LabeledDataset(points=features, labels=labels, label_names=label_names, name=path.stem)
 

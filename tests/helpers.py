@@ -196,6 +196,8 @@ def load_dataset_oracle(path, label_column: int = -1) -> LabeledDataset:
                 raise ParseError(f"non-finite feature value {tok!r}", lineno)
             features[r, c_idx] = value
 
+    if len(rows) < 2:
+        raise DataError(f"{path} has 1 data row; a dataset needs at least 2")
     labels, label_names = _encode_labels(label_tokens)
     return LabeledDataset(points=features, labels=labels, label_names=label_names,
                           name=path.stem)

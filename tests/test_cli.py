@@ -678,6 +678,32 @@ def test_learn_prior_of_another_dimension_exits_with_data_code(runner, blobs_csv
     assert not out.exists()
 
 
+def test_benchmark_prior_of_another_dimension_exits_before_any_unit(runner, blobs_csv,
+                                                                    tmp_path):
+    # checked once against the data, like learn and eval, not failed per unit
+    prior = tmp_path / "m3.gmml"
+    save_metric(LearnedMetric(matrix=np.eye(3), config=GmmlConfig(),
+                              provenance=MetricProvenance(0, 0, 0.0)), prior)
+    result = runner.invoke(main, ["benchmark", str(blobs_csv), "--prior", str(prior),
+                                  "--runs", "1"])
+    assert result.exit_code == 3, all_text(result)
+    assert "error: prior has dimension 3, data has 2" in result.stderr
+    assert "failed:" not in result.stderr
+    # a baseline solves nothing, so it ignores the prior
+    result = runner.invoke(main, ["benchmark", str(blobs_csv), "--prior", str(prior),
+                                  "--runs", "1", "--baseline"])
+    assert result.exit_code == 0, all_text(result)
+
+
+def test_one_row_dataset_names_its_file(runner, blobs_csv, tmp_path):
+    onerow = tmp_path / "onerow.csv"
+    onerow.write_text(blobs_csv.read_text().splitlines()[0] + "\n")
+    result = runner.invoke(main, ["eval", "--train", str(blobs_csv), "--test", str(onerow),
+                                  "--metric", "identity"])
+    assert result.exit_code == 3, all_text(result)
+    assert f"error: {onerow} has 1 data row; a dataset needs at least 2" in result.stderr
+
+
 def test_non_positive_whitened_eigenvalue_exits_with_numerical_code(runner, blobs_csv,
                                                                     tmp_path, monkeypatch):
     # on an ill-conditioned scatter pair, rounding alone can give L^T D L a

@@ -78,7 +78,7 @@ def test_default_constraint_count_values():
     assert default_constraint_count(2) == 80
     assert default_constraint_count(3) == 240
     assert default_constraint_count(26) == 26000
-    assert default_constraint_count(1) == 0
+    assert default_constraint_count(1) == 80
     with pytest.raises(ValueError):
         default_constraint_count(0)
 
@@ -320,16 +320,15 @@ def test_knn_rejects_non_spd_metric():
 
 # ------------------------------------------- batched k-NN against the scalar rule
 
-def _problem(points, labels, metrics, queries, k, block_elements=evaluation._BLOCK_ELEMENTS,
-             embed_elements=evaluation._EMBED_ELEMENTS):
-    """A stacked k-NN problem; one (d, d) metric is a stack of one. The two
-    budgets stand in for the classifier's memory caps, so that small
+def _problem(points, labels, metrics, queries, k, block_elements=evaluation._BLOCK_ELEMENTS):
+    """A stacked k-NN problem; one (d, d) metric is a stack of one. The
+    budget stands in for the classifier's memory cap, so that small
     problems also split into several query blocks and metric chunks."""
     metrics = np.asarray(metrics, dtype=float)
     if metrics.ndim == 2:
         metrics = metrics[None]
     return (np.asarray(points, dtype=float), np.asarray(labels), metrics,
-            np.asarray(queries, dtype=float), k, block_elements, embed_elements)
+            np.asarray(queries, dtype=float), k, block_elements)
 
 
 @st.composite
@@ -338,8 +337,9 @@ def knn_problems(draw):
     0.1-spaced grids, duplicated training points, queries on training
     points, large offsets that make the Gram expansion cancel, k up to
     n + 2, and stacks of 1 to 6 identity, ill-conditioned, near-singular or
-    random metrics. The memory caps are the classifier's own or small enough
-    that n T exceeds the block budget and the stack splits into chunks."""
+    random metrics. The memory cap is the classifier's own or at most
+    n max(d, queries) T, so that one chunk and one block stay reachable and
+    smaller caps split the stack into chunks and the queries into blocks."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(1, 12))
     coord = st.integers(-3, 3)
@@ -376,11 +376,9 @@ def knn_problems(draw):
     labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     n_metrics = len(metrics)
     block_elements = draw(st.one_of(st.just(evaluation._BLOCK_ELEMENTS),
-                                    st.integers(1, n * n_metrics * len(queries))))
-    embed_elements = draw(st.one_of(st.just(evaluation._EMBED_ELEMENTS),
-                                    st.integers(1, n * d * n_metrics)))
+                                    st.integers(1, n * max(d, len(queries)) * n_metrics)))
     return _problem(points, labels, metrics, queries, draw(st.integers(1, n + 2)),
-                    block_elements, embed_elements)
+                    block_elements)
 
 
 @settings(max_examples=300, deadline=None)
@@ -406,17 +404,17 @@ def knn_problems(draw):
 @example(_problem([[3.0], [4.0], [-1.0], [-2.0], [9.0]], [0, 0, 1, 1, 0], np.eye(1),
                   [[0.0], [0.5]], 4))
 # a stack whose metrics tie on different queries: in one chunk with blocks
-# of two queries, and in chunks of two metrics and one with one-query blocks
+# of two queries, and in chunks of two metrics and one, the first in blocks
+# of two queries and one
 @example(_problem([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -2.0]], [0, 1, 1, 0],
                   [np.eye(2), np.diag([4.0, 1.0]), np.diag([1.0, 0.25])],
                   [[0.0, 0.0], [1.0, 1.0], [0.5, 0.0]], 2, block_elements=24))
 @example(_problem([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -2.0]], [0, 1, 1, 0],
                   [np.eye(2), np.diag([4.0, 1.0]), np.diag([1.0, 0.25])],
-                  [[0.0, 0.0], [1.0, 1.0], [0.5, 0.0]], 2, block_elements=1, embed_elements=16))
+                  [[0.0, 0.0], [1.0, 1.0], [0.5, 0.0]], 2, block_elements=16))
 def test_batched_knn_matches_scalar_vote(problem):
-    points, labels, metrics, queries, k, block_elements, embed_elements = problem
+    points, labels, metrics, queries, k, block_elements = problem
     with (mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block_elements),
-          mock.patch.object(evaluation, "_EMBED_ELEMENTS", embed_elements),
           warnings.catch_warnings(record=True) as caught):
         warnings.simplefilter("always")
         got = _knn_labels(points, labels, metrics, queries, k)
@@ -1045,6 +1043,16 @@ def test_benchmark_rejects_single_class_unless_baseline():
         data, SplitPlan(n_runs=1, n_folds=2, rng_seed=0), None, GmmlConfig(),
         baseline=True, constraint_count=10,
     )
+    assert report.n_failures == 0
+
+
+def test_benchmark_rejects_a_prior_of_another_dimension_unless_baseline():
+    data = make_blobs(np.random.default_rng(23), n_per_class=5)
+    cfg = GmmlConfig(lam=0.5, prior=np.eye(3))
+    with pytest.raises(DimensionMismatch, match="prior has dimension 3, data has 2"):
+        run_benchmark(data, SplitPlan(n_runs=1, n_folds=2, rng_seed=0), None, cfg, k=1)
+    report = run_benchmark(data, SplitPlan(n_runs=1, n_folds=2, rng_seed=0), None, cfg, k=1,
+                           baseline=True)
     assert report.n_failures == 0
 
 

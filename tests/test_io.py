@@ -16,6 +16,7 @@ from gmml import (
     EvalReport,
     GmmlConfig,
     InconsistentWidth,
+    LabeledDataset,
     ParseError,
     RunRecord,
     ScatterMatrices,
@@ -29,7 +30,7 @@ from gmml import (
     write_report,
 )
 import gmml.io
-from gmml.io import _matrix_rows, format_report
+from gmml.io import _matrix_hash, _matrix_rows, format_report
 from gmml.learn import LearnedMetric, MetricProvenance
 from helpers import load_dataset_oracle, make_blobs, metric_rows_oracle, rand_spd, write_csv
 
@@ -340,12 +341,19 @@ def test_fingerprint_changes_with_points_or_labels():
 
     moved = data.points.copy()
     moved[0, 0] += 1e-9
-    from gmml import LabeledDataset
     assert fingerprint_dataset(LabeledDataset(points=moved, labels=data.labels)) != base
 
     flipped = data.labels.copy()
     flipped[0] = 1 - flipped[0]
     assert fingerprint_dataset(LabeledDataset(points=data.points, labels=flipped)) != base
+
+
+def test_content_hashes_are_pinned():
+    # literal digests: a change to the hash recipe changes every fingerprint
+    # and prior_hash already written
+    assert _matrix_hash(np.diag([1.0, 2.0, 3.0])) == "e70aa2124c0a4c1a"
+    data = LabeledDataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 0]))
+    assert fingerprint_dataset(data).content_hash == "9c29096d430785c1"
 
 
 # ------------------------------------------------------------ metric round trip
