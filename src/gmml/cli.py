@@ -27,12 +27,10 @@ from .evaluation import (
     CvPolicy,
     SplitPlan,
     _build_report,
-    _learn,
     _pair_count,
     _require_classes,
     _run_unit,
-    _standardize,
-    cross_validate_t,
+    fit_metric,
     holdout_split,
     run_benchmark,
 )
@@ -199,8 +197,6 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
 
     total_start = time.perf_counter()
     data = gio.load_dataset(dataset, label_column=label_column)
-    if standardize:
-        data = replace(data, points=_standardize(data.points)[0])
     fingerprint = gio.fingerprint_dataset(data)
     resolved_count = _pair_count(count, data)
 
@@ -212,19 +208,17 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     )
     _require_classes(data)
 
-    if policy is not None:
-        cv = cross_validate_t(data, policy, cfg, k, seed, constraint_count=resolved_count)
-        cfg = replace(cfg, t=cv.chosen_t)
-        _echo(f"cross-validation chose t={cv.chosen_t:.4g}")
-
     learn_start = time.perf_counter()
-    metric = _learn(data, data.points, cfg, resolved_count, seed, fingerprint.compact())
+    metric, cv = fit_metric(data, cfg, policy, k, resolved_count, seed,
+                            standardize=standardize, fingerprint=fingerprint.compact())
     learn_time = time.perf_counter() - learn_start
+    if cv is not None:
+        _echo(f"cross-validation chose t={cv.chosen_t:.4g}")
 
     gio.save_metric(metric, out)
     total_time = time.perf_counter() - total_start
     _echo(
-        f"learned metric: dim={metric.dim} t={cfg.t:.4g} "
+        f"learned metric: dim={metric.dim} t={metric.config.t:.4g} "
         f"sim_pairs={metric.provenance.sim_count} dis_pairs={metric.provenance.dis_count} "
         f"riccati_residual={metric.provenance.riccati_residual:.3e}"
     )
@@ -286,6 +280,9 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
         metric = np.eye(train.n_features)
     elif metric_path is not None:
         metric = gio.load_metric(metric_path)
+        if standardize and metric.standardizer is not None:
+            raise ValueError(f"{metric_path} already carries its standardization; "
+                             "drop --standardize")
 
     resolved_count = _pair_count(count, train)
     _echo_dataset(source, fingerprint)

@@ -22,6 +22,7 @@ from .learn import (
     GmmlConfig,
     LearnedMetric,
     PairConstraints,
+    Standardizer,
     scatter_matrices,
     solve,
     solve_basis,
@@ -405,7 +406,8 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
     to the smaller class index. When k exceeds the training size it is
     clamped with a warning. The query runs through the same batched
     classifier as ``evaluate_split``, as a batch of one row, and is decided
-    exactly as the scalar rule decides it.
+    exactly as the scalar rule decides it. A LearnedMetric that carries a
+    standardizer measures the training points and the query z-scored by it.
 
     Raises DimensionMismatch when ``metric`` or ``query`` does not fit the
     data, and NotPositiveDefinite when ``metric`` is not SPD.
@@ -416,7 +418,8 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
         raise DimensionMismatch(
             f"query dim {query.shape[0]} vs data dim {train.n_features}"
         )
-    return int(_knn_labels(train.points, train.labels, a[None], query[None, :], k)[0, 0])
+    train_pts, queries = _coordinates(metric, False, train.points, query[None, :])
+    return int(_knn_labels(train_pts, train.labels, a[None], queries, k)[0, 0])
 
 
 def _metric_array(metric, dim: int) -> np.ndarray:
@@ -428,24 +431,60 @@ def _metric_array(metric, dim: int) -> np.ndarray:
     return a
 
 
-def _standardize(train_pts: np.ndarray, *others: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``train_pts`` and every array of ``others`` z-scored by the
-    statistics of ``train_pts`` alone (a constant feature is only centred)."""
-    mu = train_pts.mean(axis=0)
-    sigma = train_pts.std(axis=0)
-    sigma = np.where(sigma > 0, sigma, 1.0)
-    return tuple((pts - mu) / sigma for pts in (train_pts, *others))
+def _coordinates(metric, standardize: bool, train_pts: np.ndarray, *others: np.ndarray):
+    """``train_pts`` and every array of ``others`` in the coordinates
+    ``metric`` measures: z-scored by the metric's own standardizer when it
+    carries one, else with ``standardize`` by the statistics of
+    ``train_pts`` alone, else as given."""
+    z = metric.standardizer if isinstance(metric, LearnedMetric) else None
+    if z is None and standardize:
+        z = Standardizer.of(train_pts)
+    if z is None:
+        return (train_pts, *others)
+    return tuple(z.apply(pts) for pts in (train_pts, *others))
 
 
-def _learn(
-    train: LabeledDataset, points: np.ndarray, cfg: GmmlConfig, count: int, seed: int,
+def fit_metric(
+    train: LabeledDataset,
+    cfg: GmmlConfig,
+    policy: CvPolicy | None,
+    k: int,
+    count: int | None,
+    seed: int,
+    *,
+    cv_seed: int | None = None,
+    standardize: bool = False,
     fingerprint: str | None = None,
-) -> LearnedMetric:
-    """The closed-form learn step: sample ``count`` pairs of ``train`` with
-    ``seed``, build their scatters over ``points`` (train's points, z-scored
-    or not) and solve for the metric of ``cfg``."""
+) -> tuple[LearnedMetric, CvResult | None]:
+    """The one fit of a metric to ``train``, and its CvResult (None
+    without ``policy``).
+
+    With ``policy``, t is first chosen by ``cross_validate_t`` with ``k``
+    neighbors, seeded by ``cv_seed`` (by default ``seed``); with
+    ``standardize`` each CV fold is z-scored by its own training part.
+    Then ``train`` is z-scored by its own statistics when ``standardize``,
+    ``count`` pairs (by default ``default_constraint_count``) are sampled
+    with ``seed``, and their scatters are solved at the chosen t, or at
+    ``cfg.t`` without ``policy``. The metric carries ``fingerprint`` and
+    the standardizer it was learned under (None without ``standardize``).
+    A singular scatter of that solve raises SingularScatter naming the
+    dataset.
+    """
+    count = _pair_count(count, train)
+    cv = None
+    if policy is not None:
+        cv_seed = seed if cv_seed is None else cv_seed
+        cv = cross_validate_t(train, policy, cfg, k, cv_seed, count, standardize)
+        cfg = replace(cfg, t=cv.chosen_t)
+    standardizer = Standardizer.of(train.points) if standardize else None
+    points = train.points if standardizer is None else standardizer.apply(train.points)
     pairs = sample_constraints(train, count, seed)
-    return solve(scatter_matrices(points, pairs), cfg, fingerprint)
+    try:
+        metric = solve(scatter_matrices(points, pairs), cfg, fingerprint, standardizer)
+    except SingularScatter as exc:
+        where = f" (dataset {train.name})" if train.name else ""
+        raise SingularScatter(exc.which, f"{exc.detail}, while learning{where}") from exc
+    return metric, cv
 
 
 def evaluate_split(
@@ -460,35 +499,31 @@ def evaluate_split(
 ) -> SplitOutcome:
     """Learn on ``train``, classify ``test``, return the misclassified fraction.
 
-    Constraints are sampled from the training fold only. When ``metric``
-    is given (an SPD array or LearnedMetric) learning is skipped, which
+    Without ``metric`` one is learned by ``fit_metric`` at ``cfg.t``, with
+    constraints sampled from the training fold only. When ``metric`` is
+    given (an SPD array or LearnedMetric) learning is skipped, which
     provides the plain-Euclidean baseline via an identity matrix; one that
     is not SPD raises NotPositiveDefinite, and one that is not square of the
     data's dimension DimensionMismatch. Test points are classified by the
-    rule of ``knn_predict``.
+    rule of ``knn_predict``, with train and test z-scored by the metric's
+    own standardizer when it carries one, or else with ``standardize`` by
+    the statistics of ``train``.
     """
     if train.n_features != test.n_features:
         raise DimensionMismatch(
             f"train dim {train.n_features} vs test dim {test.n_features}"
         )
-    train_pts, test_pts = train.points, test.points
-    if standardize:
-        train_pts, test_pts = _standardize(train_pts, test_pts)
-
     learned = None
     t0 = time.perf_counter()
     if metric is None:
-        try:
-            learned = _learn(train, train_pts, cfg, constraint_count, seed)
-        except SingularScatter as exc:
-            where = f" (dataset {train.name})" if train.name else ""
-            raise SingularScatter(exc.which, f"{exc.detail}, while learning{where}") from exc
-        a = learned.matrix
-    else:
-        a = _metric_array(metric, train.n_features)
+        metric = learned = fit_metric(
+            train, cfg, None, k, constraint_count, seed, standardize=standardize,
+        )[0]
+    a = _metric_array(metric, train.n_features)
     learn_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
+    train_pts, test_pts = _coordinates(metric, standardize, train.points, test.points)
     predicted = _knn_labels(train_pts, train.labels, a[None], test_pts, k)[0]
     wrong = int(np.count_nonzero(predicted != test.labels))
     classify_time = time.perf_counter() - t1
@@ -611,9 +646,7 @@ def cross_validate_t(
     fits = []
     for (rest, fold), fold_seed in zip(index_splits, fold_seeds):
         cv_train, cv_val = train.subset(rest), train.subset(fold)
-        train_pts, val_pts = cv_train.points, cv_val.points
-        if standardize:
-            train_pts, val_pts = _standardize(train_pts, val_pts)
+        train_pts, val_pts = _coordinates(None, standardize, cv_train.points, cv_val.points)
         pairs = sample_constraints(cv_train, constraint_count, int(fold_seed))
         try:
             basis = solve_basis(scatter_matrices(train_pts, pairs), cfg)[0]
@@ -668,20 +701,26 @@ def _run_unit(
     run: int = 0,
     fold: int = 0,
 ) -> tuple[RunRecord, SplitOutcome]:
-    """Cross-validate t on ``train`` when ``policy`` is given and ``metric``
-    is not, then learn on ``train`` (or use the fixed ``metric``) and
-    classify ``test``. The record's ``chosen_t`` is None for a fixed metric
-    and its ``total_time`` runs from ``start``."""
-    if metric is None and policy is not None:
-        cv = cross_validate_t(train, policy, cfg, k, cv_seed, constraint_count, standardize)
-        cfg = replace(cfg, t=cv.chosen_t)
+    """Fit a metric to ``train`` with ``fit_metric`` unless ``metric`` is
+    fixed (cross-validating t with ``cv_seed`` when ``policy`` is given,
+    sampling pairs with ``eval_seed``), then classify ``test`` with
+    ``evaluate_split``. The record's ``chosen_t`` is None for a fixed
+    metric, its ``learn_time`` covers the whole fit, cross-validation
+    included, and its ``total_time`` runs from ``start``."""
+    fit_start = time.perf_counter()
+    learned = None if metric is not None else fit_metric(
+        train, cfg, policy, k, constraint_count, eval_seed,
+        cv_seed=cv_seed, standardize=standardize,
+    )[0]
+    learn_time = time.perf_counter() - fit_start
     outcome = evaluate_split(
-        train, test, cfg, k, constraint_count, eval_seed, metric=metric, standardize=standardize,
+        train, test, cfg, k, constraint_count, eval_seed,
+        metric=metric if learned is None else learned, standardize=standardize,
     )
     record = RunRecord(
         run=run, fold=fold, error_rate=outcome.error_rate,
-        chosen_t=None if metric is not None else cfg.t,
-        learn_time=outcome.learn_time, total_time=time.perf_counter() - start,
+        chosen_t=None if learned is None else learned.config.t,
+        learn_time=learn_time, total_time=time.perf_counter() - start,
         n_train=train.n_points, n_test=test.n_points,
     )
     return record, outcome

@@ -32,10 +32,12 @@ from .exceptions import (
     ParseError,
     VersionMismatch,
 )
-from .learn import GmmlConfig, LearnedMetric, MetricProvenance
+from .learn import GmmlConfig, LearnedMetric, MetricProvenance, Standardizer
 
 METRIC_MAGIC = "gmml-metric"
-METRIC_FORMAT_VERSION = 1
+# version 2 adds the `mu:` and `sigma:` lines of a standardized metric; a
+# metric of raw points is still written as version 1
+METRIC_FORMAT_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -247,14 +249,17 @@ def save_metric(metric: LearnedMetric, path) -> None:
     Stores the full matrix row-major at round-trip precision together with
     the solver configuration echo, the self-check residual, pair counts,
     a creation timestamp, and the provenance's dataset fingerprint, if any.
+    A metric that carries a standardizer is written as version 2, with its
+    ``mu`` and ``sigma`` as ``repr`` floats; any other as version 1.
     The matrix rows are streamed to the file one at a time, and each
     distinct entry of the symmetric matrix is formatted once (see
     :func:`_matrix_rows`); the bytes are those of ``repr`` of every entry.
     """
     prov = metric.provenance
     prior = metric.config.prior
+    z = metric.standardizer
     header = [
-        f"{METRIC_MAGIC} {METRIC_FORMAT_VERSION}",
+        f"{METRIC_MAGIC} {1 if z is None else 2}",
         f"dim: {metric.dim}",
         f"t: {metric.config.t!r}",
         f"lambda: {metric.config.lam!r}",
@@ -264,6 +269,8 @@ def save_metric(metric: LearnedMetric, path) -> None:
         f"dis_count: {prov.dis_count}",
         f"created: {datetime.now(timezone.utc).isoformat()}",
         f"fingerprint: {prov.fingerprint if prov.fingerprint else 'none'}",
+        *([] if z is None else [f"{key}: {' '.join(map(repr, values.tolist()))}"
+                                for key, values in (("mu", z.mu), ("sigma", z.sigma))]),
         "matrix:",
     ]
     _atomic_write(path, chain((line + "\n" for line in header), _matrix_rows(metric.matrix)))
@@ -300,10 +307,13 @@ def load_metric(path) -> LearnedMetric:
     """Read a metric file written by :func:`save_metric`.
 
     Skips an optional UTF-8 byte-order mark and refuses unknown format
-    versions. A matrix entry that is not a finite number is a ParseError
-    naming its line and token. The stored matrix must be SPD; CorruptMatrix
-    otherwise. Only the prior's hash is stored, not the prior, so the
-    returned config carries ``prior=None``.
+    versions. A version 2 file must hold ``mu`` and ``sigma`` lines of
+    ``dim`` finite floats each, sigma positive (CorruptMatrix otherwise),
+    and its metric carries them as its standardizer. A matrix entry that
+    is not a finite number is a ParseError naming its line and token. The
+    stored matrix must be SPD; CorruptMatrix otherwise. Only the prior's
+    hash is stored, not the prior, so the returned config carries
+    ``prior=None``.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8-sig").splitlines()
@@ -312,10 +322,10 @@ def load_metric(path) -> LearnedMetric:
     head = lines[0].split()
     if len(head) != 2 or head[0] != METRIC_MAGIC:
         raise ParseError(f"not a metric file: {path}", 1)
-    if head[1] != str(METRIC_FORMAT_VERSION):
+    if head[1] not in map(str, METRIC_FORMAT_VERSIONS):
         raise VersionMismatch(
             f"metric format version {head[1]} is not supported "
-            f"(this build reads version {METRIC_FORMAT_VERSION})"
+            f"(this build reads versions {', '.join(map(str, METRIC_FORMAT_VERSIONS))})"
         )
 
     fields: dict[str, str] = {}
@@ -336,6 +346,14 @@ def load_metric(path) -> LearnedMetric:
         residual = float(fields["riccati_residual"])
         sim_count = int(fields.get("sim_count", 0))
         dis_count = int(fields.get("dis_count", 0))
+        standardizer = None
+        if head[1] == "2":
+            mu, sigma = (np.array([float(tok) for tok in fields[key].split()])
+                         for key in ("mu", "sigma"))
+            if not (mu.shape == sigma.shape == (dim,) and np.isfinite(mu).all()
+                    and (sigma > 0).all() and (sigma < np.inf).all()):
+                raise ValueError(f"mu and sigma need {dim} finite values each, sigma > 0")
+            standardizer = Standardizer(mu, sigma)
     except (KeyError, ValueError) as exc:
         raise CorruptMatrix(f"{path} has a malformed header: {exc}") from exc
     fp = fields.get("fingerprint", "none")
@@ -370,7 +388,8 @@ def load_metric(path) -> LearnedMetric:
     )
     try:
         # LearnedMetric validates its matrix with check_spd
-        return LearnedMetric(matrix=np.asarray(entries), config=config, provenance=provenance)
+        return LearnedMetric(matrix=np.asarray(entries), config=config, provenance=provenance,
+                             standardizer=standardizer)
     except NotPositiveDefinite as exc:
         raise CorruptMatrix(f"{path}: stored matrix fails the SPD check: {exc}") from exc
 

@@ -7,7 +7,8 @@ prior. :func:`solve` computes it from one Cholesky factorization
 S = L L^T and one symmetric eigendecomposition L^T D L = V diag(w) V^T as
 A = P diag(w^t) P^T with P = L^{-T} V. At ``t = 1/2`` this point is the
 unique SPD solution of ``A S A = D``, so every solve records the relative
-residual of that equation as a built-in self check.
+residual of that equation at the geodesic's midpoint, whatever its ``t``,
+as a built-in self check.
 """
 
 from __future__ import annotations
@@ -158,18 +159,40 @@ class GeodesicBasis:
 
 
 @dataclass(frozen=True)
+class Standardizer:
+    """The per-feature z-score ``(x - mu) / sigma`` of a metric's points."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+
+    @classmethod
+    def of(cls, points: np.ndarray) -> Standardizer:
+        """The statistics of ``points``' rows; a constant feature gets sigma 1,
+        so it is only centred."""
+        sigma = points.std(axis=0)
+        return cls(points.mean(axis=0), np.where(sigma > 0, sigma, 1.0))
+
+    def apply(self, points: np.ndarray) -> np.ndarray:
+        return (points - self.mu) / self.sigma
+
+
+@dataclass(frozen=True)
 class LearnedMetric:
     """An SPD Mahalanobis matrix together with its solver configuration.
 
     ``provenance.riccati_residual`` is the relative residual of
-    ``A S A = D`` for the (possibly regularized) scatter pair the solver
-    used; it sits at machine precision when ``t = 1/2`` and is recorded
-    as-is for other ``t``.
+    ``A S A = D`` at the midpoint ``t = 1/2`` of the solved geodesic, for
+    the (possibly regularized) scatter pair the solver used; it sits at
+    machine precision whatever ``t`` the metric was solved at.
+    ``standardizer`` is the z-score of the points the metric was learned
+    on, so the metric measures distances between standardized points; it
+    is None for a metric of raw points.
     """
 
     matrix: np.ndarray
     config: GmmlConfig
     provenance: MetricProvenance
+    standardizer: Standardizer | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", spd.check_spd(self.matrix, "learned metric"))
@@ -288,7 +311,8 @@ def solve_basis(
 
 
 def solve(
-    sc: ScatterMatrices, cfg: GmmlConfig = GmmlConfig(), fingerprint: str | None = None
+    sc: ScatterMatrices, cfg: GmmlConfig = GmmlConfig(), fingerprint: str | None = None,
+    standardizer: Standardizer | None = None,
 ) -> LearnedMetric:
     """Metric at parameter ``cfg.t`` on the geodesic from S^{-1} to D.
 
@@ -305,17 +329,22 @@ def solve(
     The S used is factored once as S = L L^T. With the eigendecomposition
     L^T D L = V diag(w) V^T and P = L^{-T} V, the metric is
     A = P diag(w^t) P^T, where (P, w) is the ``GeodesicBasis`` of
-    :func:`solve_basis`.
+    :func:`solve_basis`. The recorded residual is that of the midpoint
+    A_{1/2}, which is built once more only when ``cfg.t`` is not 1/2.
+    ``standardizer``, the z-score of the points behind ``sc``, if any, is
+    attached to the metric.
     """
     basis, s_used, d_used = solve_basis(sc, cfg)
     a = basis.matrix(cfg.t)
+    midpoint = a if cfg.t == 0.5 else basis.matrix(0.5)
     return LearnedMetric(
         matrix=a,
         config=cfg,
         provenance=MetricProvenance(
             sim_count=sc.sim_count,
             dis_count=sc.dis_count,
-            riccati_residual=riccati_residual(a, s_used, d_used),
+            riccati_residual=riccati_residual(midpoint, s_used, d_used),
             fingerprint=fingerprint,
         ),
+        standardizer=standardizer,
     )

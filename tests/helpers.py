@@ -36,7 +36,6 @@ from gmml.evaluation import (
     CvResult,
     TScore,
     _pick_best,
-    _standardize,
     default_constraint_count,
     evaluate_split,
     stratified_folds,
@@ -234,7 +233,10 @@ def cross_validate_t_oracle(
         splits.append((train.subset(rest), train.subset(fold), int(fold_seeds[f])))
 
     for cv_train, _, fold_seed in splits:
-        points = _standardize(cv_train.points)[0] if standardize else cv_train.points
+        points = cv_train.points
+        if standardize:
+            sigma = points.std(axis=0)
+            points = (points - points.mean(axis=0)) / np.where(sigma > 0, sigma, 1.0)
         pairs = sample_constraints(cv_train, constraint_count, fold_seed)
         try:
             solve_basis(scatter_matrices(points, pairs), cfg)

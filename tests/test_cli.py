@@ -99,24 +99,62 @@ def test_learn_regularized_on_rank_deficient_data(runner, degenerate_csv, tmp_pa
     assert out.exists()
 
 
+def _metric_header(path):
+    """The ``key: value`` lines of a metric file between its magic line and
+    ``matrix:``, as a dict, and its matrix section's text."""
+    head, matrix = path.read_text().split("matrix:\n")
+    return dict(line.split(": ", 1) for line in head.splitlines()[1:]), matrix
+
+
 def test_learn_standardize_matches_pre_standardized_data(runner, tmp_path):
     # --standardize z-scores by the dataset's mean and std, mapping the std
-    # of a constant column to 1
+    # of a constant column to 1; the metric is that of the z-scored file,
+    # and the file says so with the statistics it was learned under
     data = make_anisotropic(np.random.default_rng(9), n_per_class=15, d=3)
     points = data.points.copy()
     points[:, 1] = 4.0
-    sigma = points.std(axis=0)
+    mu, sigma = points.mean(axis=0), points.std(axis=0)
     sigma[sigma == 0.0] = 1.0
-    texts = []
+    files = {}
     for name, pts, flags in (("raw", points, ["--standardize"]),
-                             ("z", (points - points.mean(axis=0)) / sigma, [])):
+                             ("z", (points - mu) / sigma, [])):
         path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.gmml"
         write_csv(path, dataclasses.replace(data, points=pts))
         result = runner.invoke(main, ["learn", str(path), "--lambda", "0.1", *flags,
                                       "--out", str(out)])
         assert result.exit_code == 0, all_text(result)
-        texts.append(re.sub(r"^created: .*$", "", out.read_text(), flags=re.MULTILINE))
-    assert texts[0] == texts[1]
+        files[name] = out
+    (raw, raw_matrix), (z, z_matrix) = map(_metric_header, (files["raw"], files["z"]))
+    assert raw_matrix == z_matrix
+    assert files["raw"].read_text().startswith("gmml-metric 2\n")
+    assert files["z"].read_text().startswith("gmml-metric 1\n")
+    assert raw.pop("mu") == " ".join(map(repr, mu.tolist()))
+    assert raw.pop("sigma") == " ".join(map(repr, sigma.tolist()))
+    # each fingerprint is that of its own file
+    for header in (raw, z):
+        del header["created"], header["fingerprint"]
+    assert raw == z
+
+
+def test_learn_standardize_fingerprints_the_file(runner, tmp_path):
+    path, out = tmp_path / "scaled.csv", tmp_path / "m.gmml"
+    write_csv(path, _scaled_problem(np.random.default_rng(3), 40))
+    fingerprints = []
+    for argv in (["learn", str(path), "--standardize", "--out", str(out)],
+                 ["learn", str(path), "--out", str(tmp_path / "plain.gmml")],
+                 ["eval", "--data", str(path), "--metric", "identity"]):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, all_text(result)
+        fingerprints.append(re.search(r"fingerprint=(\S+)", result.stderr).group(1))
+    assert len(set(fingerprints)) == 1
+    assert _metric_header(out)[0]["fingerprint"].endswith(f"hash={fingerprints[0]}")
+
+
+def test_learn_records_the_midpoint_residual_at_every_t(runner, blobs_csv, tmp_path):
+    out = tmp_path / "m.gmml"
+    result = runner.invoke(main, ["learn", str(blobs_csv), "--t", "0.3", "--out", str(out)])
+    assert result.exit_code == 0, all_text(result)
+    assert load_metric(out).provenance.riccati_residual < 1e-12
 
 
 def test_learn_prior_file_blends_the_saved_metric(runner, blobs_csv, tmp_path):
@@ -313,6 +351,71 @@ def test_eval_train_test_labels_match_by_token(runner, tmp_path, train_labels, t
                                   "--metric", "identity"])
     assert result.exit_code == 0, all_text(result)
     assert f"({wrong}/10 misclassified)" in result.stdout
+
+
+def _scaled_problem(rng, n_per_class):
+    """Two overlapping classes apart along feature 0 only, beside a noise
+    feature scaled by 1e3 and one offset by 1e4: the raw scales hide the
+    signal, and the CV error varies with t."""
+    data = make_anisotropic(rng, n_per_class=n_per_class, d=3, signal_sigma=0.8,
+                            noise_sigma=1.0)
+    return dataclasses.replace(data, points=data.points * [1.0, 1e3, 1.0] + [0.0, 0.0, 1e4])
+
+
+@pytest.fixture()
+def scaled_split(tmp_path):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    write_csv(train, _scaled_problem(np.random.default_rng(21), 40))
+    write_csv(test, _scaled_problem(np.random.default_rng(22), 15))
+    return train, test
+
+
+def _error_line(result):
+    assert result.exit_code == 0, all_text(result)
+    return re.search(r"^error rate: .*$", result.stdout, flags=re.MULTILINE).group(0)
+
+
+@pytest.mark.parametrize("t", ["0.5", "cv"])
+@pytest.mark.parametrize("standardize", [[], ["--standardize"]])
+def test_learn_then_eval_metric_matches_one_step_eval(runner, tmp_path, scaled_split, t,
+                                                      standardize):
+    # a saved metric carries the coordinates it was learned in, so evaluating
+    # it needs no --standardize and errs as the one-step eval does
+    train, test = scaled_split
+    options = ["--t", t, "--lambda", "0.5", "--seed", "0", *standardize]
+    out = tmp_path / "m.gmml"
+    learned = runner.invoke(main, ["learn", str(train), *options, "--out", str(out)])
+    assert learned.exit_code == 0, all_text(learned)
+    split = ["--train", str(train), "--test", str(test), "--seed", "0"]
+    two_step = runner.invoke(main, ["eval", *split, "--metric", str(out)])
+    one_step = runner.invoke(main, ["eval", *split, *options])
+    assert _error_line(two_step) == _error_line(one_step)
+
+
+def test_learn_cv_standardize_chooses_the_t_of_per_fold_standardization(runner, tmp_path,
+                                                                        scaled_split):
+    # each CV fold is z-scored by its own training part, as in eval and
+    # benchmark, not by the statistics of the whole file
+    train, _ = scaled_split
+    out = tmp_path / "m.gmml"
+    result = runner.invoke(main, ["learn", str(train), "--t", "cv", "--lambda", "0.5",
+                                  "--standardize", "--seed", "0", "--out", str(out)])
+    assert result.exit_code == 0, all_text(result)
+    cv = gmml.cross_validate_t(load_dataset(train), gmml.CvPolicy(), GmmlConfig(lam=0.5),
+                               5, 0, standardize=True)
+    assert load_metric(out).config.t == cv.chosen_t
+    assert f"cross-validation chose t={cv.chosen_t:.4g}" in result.stdout
+
+
+def test_eval_refuses_to_standardize_a_standardized_metric(runner, tmp_path, scaled_split):
+    train, test = scaled_split
+    out = tmp_path / "m.gmml"
+    assert runner.invoke(main, ["learn", str(train), "--standardize",
+                                "--out", str(out)]).exit_code == 0
+    result = runner.invoke(main, ["eval", "--train", str(train), "--test", str(test),
+                                  "--metric", str(out), "--standardize"])
+    assert result.exit_code == 2
+    assert "already carries its standardization" in result.stderr
 
 
 def test_eval_cv_report_total_time_includes_cross_validation(runner, blobs_csv, tmp_path):

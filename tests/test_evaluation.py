@@ -39,10 +39,11 @@ from gmml.evaluation import (
     _one_hot,
     _vote,
     _vote_rows,
+    fit_metric,
     holdout_split,
 )
 from gmml import spd
-from gmml.learn import GeodesicBasis
+from gmml.learn import GeodesicBasis, scatter_matrices, solve
 from helpers import (
     cross_validate_t_oracle,
     holdout_split_oracle,
@@ -551,6 +552,64 @@ def test_evaluate_split_standardize_uses_train_statistics():
     out = evaluate_split(train, test, GmmlConfig(), k=3, constraint_count=80,
                          seed=0, standardize=True)
     assert out.error_rate <= 0.05
+
+
+def scaled_problem(seed: int, n_per_class: int) -> LabeledDataset:
+    """Two classes apart along feature 0 only, beside a noise feature scaled
+    by 1e3 and one offset by 1e4."""
+    data = make_anisotropic(np.random.default_rng(seed), n_per_class=n_per_class, d=3,
+                            noise_sigma=1.0)
+    return LabeledDataset(points=data.points * [1.0, 1e3, 1.0] + [0.0, 0.0, 1e4],
+                          labels=data.labels)
+
+
+def test_fit_metric_standardizes_by_the_training_points():
+    train = scaled_problem(11, 20)
+    metric, cv = fit_metric(train, GmmlConfig(lam=0.5), None, 3, 80, 4, standardize=True)
+    assert cv is None
+    sigma = train.points.std(axis=0)
+    z = (train.points - train.points.mean(axis=0)) / sigma
+    np.testing.assert_array_equal(metric.standardizer.mu, train.points.mean(axis=0))
+    np.testing.assert_array_equal(metric.standardizer.sigma, sigma)
+    pairs = sample_constraints(train, 80, 4)
+    expected = solve(scatter_matrices(z, pairs), GmmlConfig(lam=0.5))
+    np.testing.assert_array_equal(metric.matrix, expected.matrix)
+    assert fit_metric(train, GmmlConfig(lam=0.5), None, 3, 80, 4)[0].standardizer is None
+
+
+def test_fit_metric_cross_validates_t_with_its_own_seed():
+    train = make_anisotropic(np.random.default_rng(12), n_per_class=20, d=3)
+    cfg, policy = GmmlConfig(lam=0.1), CvPolicy(cv_folds=3)
+    metric, cv = fit_metric(train, cfg, policy, 3, 60, 4, cv_seed=9, standardize=True)
+    assert cv == cross_validate_t(train, policy, cfg, 3, 9, 60, standardize=True)
+    assert metric.config.t == cv.chosen_t
+    refit = fit_metric(train, dataclasses.replace(cfg, t=cv.chosen_t), None, 3, 60, 4,
+                       standardize=True)[0]
+    np.testing.assert_array_equal(metric.matrix, refit.matrix)
+
+
+def test_knn_predict_standardized_metric_matches_bare_matrix_on_z_scored_points():
+    train, test = scaled_problem(13, 20), scaled_problem(14, 10)
+    metric = fit_metric(train, GmmlConfig(lam=0.5), None, 5, 80, 0, standardize=True)[0]
+    z = metric.standardizer
+    z_train = LabeledDataset(points=z.apply(train.points), labels=train.labels)
+    for query in test.points:
+        assert knn_predict(train, metric, query) == knn_predict(z_train, metric.matrix,
+                                                                z.apply(query))
+
+
+def test_evaluate_split_applies_a_metric_s_own_standardizer():
+    train, test = scaled_problem(15, 20), scaled_problem(16, 10)
+    cfg = GmmlConfig(lam=0.5)
+    learned = evaluate_split(train, test, cfg, k=3, constraint_count=80, seed=2,
+                             standardize=True)
+    fixed = evaluate_split(train, test, cfg, k=3, constraint_count=80, seed=2,
+                           metric=learned.learned)
+    assert fixed.error_rate == learned.error_rate
+    # a metric of raw points is not z-scored without ``standardize``
+    raw = evaluate_split(train, test, cfg, k=3, constraint_count=80, seed=2,
+                         metric=learned.learned.matrix)
+    assert raw.error_rate != learned.error_rate
 
 
 # -------------------------------------------------------------- stratified_folds

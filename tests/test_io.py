@@ -31,7 +31,7 @@ from gmml import (
 )
 import gmml.io
 from gmml.io import _matrix_hash, _matrix_rows, format_report
-from gmml.learn import LearnedMetric, MetricProvenance
+from gmml.learn import LearnedMetric, MetricProvenance, Standardizer
 from helpers import load_dataset_oracle, make_blobs, metric_rows_oracle, rand_spd, write_csv
 
 
@@ -384,6 +384,69 @@ def test_metric_round_trip_bit_exact(tmp_path):
     save_metric(signed_zeros, path)
     assert np.array_equal(load_metric(path).matrix.view(np.int64),
                           signed_zeros.matrix.view(np.int64))
+
+
+def standardized_metric(d=3):
+    rng = np.random.default_rng(5)
+    # awkward floats, so a reader that rounds any of them shows
+    z = Standardizer(rng.normal(size=d) * 1e4 + 0.1, rng.uniform(1e-3, 1e3, size=d) / 3)
+    return solve(ScatterMatrices(s_mat=rand_spd(rng, d), d_mat=rand_spd(rng, d),
+                                 sim_count=7, dis_count=9), standardizer=z)
+
+
+def test_metric_standardizer_round_trips_bit_for_bit(tmp_path):
+    metric = standardized_metric()
+    path = tmp_path / "m.gmml"
+    save_metric(metric, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "gmml-metric 2"
+    assert f"mu: {' '.join(map(repr, metric.standardizer.mu.tolist()))}" in lines
+    assert f"sigma: {' '.join(map(repr, metric.standardizer.sigma.tolist()))}" in lines
+    loaded = load_metric(path)
+    for key in ("mu", "sigma"):
+        assert np.array_equal(getattr(loaded.standardizer, key).view(np.int64),
+                              getattr(metric.standardizer, key).view(np.int64))
+    assert np.array_equal(loaded.matrix.view(np.int64), metric.matrix.view(np.int64))
+
+
+def test_metric_without_standardizer_stays_version_1(tmp_path):
+    path = tmp_path / "m.gmml"
+    save_metric(solved_metric(3), path)
+    text = path.read_text()
+    assert text.startswith("gmml-metric 1\n")
+    assert "\nmu:" not in text and "\nsigma:" not in text
+    assert load_metric(path).standardizer is None
+
+
+def test_metric_version_1_file_loads(tmp_path):
+    path = tmp_path / "m.gmml"
+    path.write_text(
+        "gmml-metric 1\ndim: 2\nt: 0.5\nlambda: 0.0\nprior_hash: identity\n"
+        "riccati_residual: 2.609219491997483e-16\nsim_count: 38\ndis_count: 42\n"
+        "created: 2026-08-14T09:35:09.614856+00:00\n"
+        "fingerprint: n=40 d=2 c=2 hash=13a1b953eacea658\nmatrix:\n"
+        "5.504768450088025 4.510316499330826\n4.510316499330826 5.279993010418683\n"
+    )
+    loaded = load_metric(path)
+    assert loaded.standardizer is None
+    assert loaded.matrix[0, 1] == 4.510316499330826
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: re.sub(r"^sigma: .*\n", "", text, flags=re.MULTILINE),
+    lambda text: re.sub(r"^(mu: \S+) \S+", r"\1", text, flags=re.MULTILINE),
+    lambda text: re.sub(r"^(sigma: )\S+", r"\g<1>0.0", text, flags=re.MULTILINE),
+    lambda text: re.sub(r"^(mu: )\S+", r"\g<1>nan", text, flags=re.MULTILINE),
+    lambda text: re.sub(r"^(mu: )\S+", r"\g<1>x", text, flags=re.MULTILINE),
+], ids=["no-sigma", "short-mu", "zero-sigma", "nan-mu", "bad-token"])
+def test_metric_version_2_needs_a_valid_standardizer(tmp_path, edit):
+    path = tmp_path / "m.gmml"
+    save_metric(standardized_metric(), path)
+    text = path.read_text()
+    assert edit(text) != text
+    path.write_text(edit(text))
+    with pytest.raises(CorruptMatrix):
+        load_metric(path)
 
 
 HAND_BUILT_SPD = {
