@@ -148,11 +148,19 @@ def _cv_options(fn):
     return fn
 
 
-def _resolve(t_value, lam, prior, cv_folds, coarse_grid, fine_count, fine_spacing):
+def _resolve(t_value, lam, prior, standardize, cv_folds, coarse_grid, fine_count, fine_spacing):
     """The solver config and the CV policy (None unless --t cv) from the
-    shared options; the CV options are validated even without --t cv."""
+    shared options; the CV options are validated even without --t cv. A
+    prior file learned with --standardize is in z-scored coordinates, so a
+    run without --standardize refuses it (ValueError)."""
     t = GmmlConfig.t if t_value == "cv" else t_value
-    prior_matrix = None if prior == "identity" else gio.load_metric(prior).matrix
+    prior_matrix = None
+    if prior != "identity":
+        saved = gio.load_metric(prior)
+        if saved.standardizer is not None and not standardize:
+            raise ValueError(f"prior {prior} was learned with --standardize; "
+                             "add --standardize to use it")
+        prior_matrix = saved.matrix
     cfg = GmmlConfig(t=t, lam=lam, prior=prior_matrix)
     policy = CvPolicy(coarse_grid, fine_count, fine_spacing, cv_folds)
     return cfg, policy if t_value == "cv" else None
@@ -193,7 +201,8 @@ def main():
 def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
               count, cv_folds, coarse_grid, fine_count, fine_spacing, k, out):
     """Learn a metric from one dataset and save it."""
-    cfg, policy = _resolve(t_value, lam, prior, cv_folds, coarse_grid, fine_count, fine_spacing)
+    cfg, policy = _resolve(t_value, lam, prior, standardize, cv_folds, coarse_grid,
+                           fine_count, fine_spacing)
 
     total_start = time.perf_counter()
     data = gio.load_dataset(dataset, label_column=label_column)
@@ -257,7 +266,8 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     if (train_path is None) == (data_path is None):
         raise click.UsageError("give either --train/--test or --data")
 
-    cfg, policy = _resolve(t_value, lam, prior, cv_folds, coarse_grid, fine_count, fine_spacing)
+    cfg, policy = _resolve(t_value, lam, prior, standardize, cv_folds, coarse_grid,
+                           fine_count, fine_spacing)
 
     total_start = time.perf_counter()
     if data_path is not None:
@@ -295,7 +305,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     if metric is None:
         _require_classes(train)
 
-    record, outcome = _run_unit(
+    record, classify_time = _run_unit(
         train, test, policy, cfg, k, resolved_count, seed, seed,
         metric=metric, standardize=standardize, start=total_start,
     )
@@ -310,11 +320,11 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
 
     _echo(
         f"error rate: {record.error_rate:.4f} "
-        f"({round(record.error_rate * outcome.n_test)}/{outcome.n_test} misclassified)"
+        f"({round(record.error_rate * record.n_test)}/{record.n_test} misclassified)"
     )
     _echo(
         f"timings: learn={record.learn_time:.4f}s "
-        f"classify={outcome.classify_time:.4f}s total={record.total_time:.4f}s"
+        f"classify={classify_time:.4f}s total={record.total_time:.4f}s"
     )
     if out is not None:
         gio.write_report(report, out, fmt=fmt)
@@ -345,7 +355,8 @@ def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardiz
                   seed, t_value, lam, prior, count, cv_folds, coarse_grid,
                   fine_count, fine_spacing, k, out, fmt):
     """Repeated-split benchmark with optional CV over t."""
-    cfg, policy = _resolve(t_value, lam, prior, cv_folds, coarse_grid, fine_count, fine_spacing)
+    cfg, policy = _resolve(t_value, lam, prior, standardize, cv_folds, coarse_grid,
+                           fine_count, fine_spacing)
     plan = SplitPlan(n_runs=runs, n_folds=folds, rng_seed=seed)
 
     data = gio.load_dataset(dataset, label_column=label_column)

@@ -89,17 +89,6 @@ class CvPolicy:
 
 
 @dataclass(frozen=True)
-class SplitOutcome:
-    """Result of evaluating one train/test split."""
-
-    error_rate: float
-    n_test: int
-    learn_time: float
-    classify_time: float
-    learned: LearnedMetric | None = None
-
-
-@dataclass(frozen=True)
 class TScore:
     """Cross-validation score of one candidate t."""
 
@@ -410,7 +399,8 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
     standardizer measures the training points and the query z-scored by it.
 
     Raises DimensionMismatch when ``metric`` or ``query`` does not fit the
-    data, and NotPositiveDefinite when ``metric`` is not SPD.
+    data, NotPositiveDefinite when ``metric`` is not SPD or not finite, and
+    DataError when ``query`` is not finite.
     """
     a = _metric_array(metric, train.n_features)
     query = np.asarray(query, dtype=float).ravel()
@@ -418,16 +408,21 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
         raise DimensionMismatch(
             f"query dim {query.shape[0]} vs data dim {train.n_features}"
         )
+    if not np.isfinite(query).all():
+        raise DataError("query contains non-finite values")
     train_pts, queries = _coordinates(metric, False, train.points, query[None, :])
     return int(_knn_labels(train_pts, train.labels, a[None], queries, k)[0, 0])
 
 
 def _metric_array(metric, dim: int) -> np.ndarray:
     """The matrix of a fixed ``metric`` (an array or LearnedMetric), which
-    must be ``dim`` x ``dim`` (DimensionMismatch otherwise)."""
+    must be ``dim`` x ``dim`` (DimensionMismatch otherwise) and finite
+    (NotPositiveDefinite otherwise)."""
     a = as_square(metric.matrix if isinstance(metric, LearnedMetric) else metric, "metric")
     if a.shape[0] != dim:
         raise DimensionMismatch(f"metric dim {a.shape[0]} vs data dim {dim}")
+    if not np.isfinite(a).all():
+        raise NotPositiveDefinite("metric contains non-finite values")
     return a
 
 
@@ -490,51 +485,29 @@ def fit_metric(
 def evaluate_split(
     train: LabeledDataset,
     test: LabeledDataset,
-    cfg: GmmlConfig,
-    k: int,
-    constraint_count: int,
-    seed: int,
-    metric=None,
+    metric,
+    k: int = DEFAULT_K,
     standardize: bool = False,
-) -> SplitOutcome:
-    """Learn on ``train``, classify ``test``, return the misclassified fraction.
+) -> float:
+    """The fraction of ``test`` that k-NN on ``train`` misclassifies under
+    the fixed ``metric``, an SPD array or LearnedMetric (``fit_metric``
+    learns one; an identity matrix gives the plain-Euclidean baseline).
 
-    Without ``metric`` one is learned by ``fit_metric`` at ``cfg.t``, with
-    constraints sampled from the training fold only. When ``metric`` is
-    given (an SPD array or LearnedMetric) learning is skipped, which
-    provides the plain-Euclidean baseline via an identity matrix; one that
-    is not SPD raises NotPositiveDefinite, and one that is not square of the
-    data's dimension DimensionMismatch. Test points are classified by the
-    rule of ``knn_predict``, with train and test z-scored by the metric's
-    own standardizer when it carries one, or else with ``standardize`` by
-    the statistics of ``train``.
+    Test points are classified by the rule of ``knn_predict``, with train
+    and test z-scored by the metric's own standardizer when it carries one,
+    or else with ``standardize`` by the statistics of ``train``. Raises
+    DimensionMismatch when train and test, or the metric and the data,
+    differ in dimension, and NotPositiveDefinite when the metric is not SPD
+    or not finite.
     """
     if train.n_features != test.n_features:
         raise DimensionMismatch(
             f"train dim {train.n_features} vs test dim {test.n_features}"
         )
-    learned = None
-    t0 = time.perf_counter()
-    if metric is None:
-        metric = learned = fit_metric(
-            train, cfg, None, k, constraint_count, seed, standardize=standardize,
-        )[0]
     a = _metric_array(metric, train.n_features)
-    learn_time = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
     train_pts, test_pts = _coordinates(metric, standardize, train.points, test.points)
     predicted = _knn_labels(train_pts, train.labels, a[None], test_pts, k)[0]
-    wrong = int(np.count_nonzero(predicted != test.labels))
-    classify_time = time.perf_counter() - t1
-
-    return SplitOutcome(
-        error_rate=wrong / test.n_points,
-        n_test=test.n_points,
-        learn_time=learn_time,
-        classify_time=classify_time,
-        learned=learned,
-    )
+    return int(np.count_nonzero(predicted != test.labels)) / test.n_points
 
 
 def _by_class(labels: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
@@ -619,7 +592,7 @@ def cross_validate_t(
     The first fold that fails to fit raises its error; a singular scatter
     fails every t, so it raises SingularScatter naming that scatter. With
     ``standardize`` every fold is z-scored by its own training part, as
-    ``evaluate_split`` does.
+    ``fit_metric`` does.
 
     Step one scores the coarse grid; step two scores a fine window around
     the coarse winner. Per fold, a stage's A_t are stacked, checked by one
@@ -700,11 +673,12 @@ def _run_unit(
     standardize: bool = False,
     run: int = 0,
     fold: int = 0,
-) -> tuple[RunRecord, SplitOutcome]:
+) -> tuple[RunRecord, float]:
     """Fit a metric to ``train`` with ``fit_metric`` unless ``metric`` is
     fixed (cross-validating t with ``cv_seed`` when ``policy`` is given,
     sampling pairs with ``eval_seed``), then classify ``test`` with
-    ``evaluate_split``. The record's ``chosen_t`` is None for a fixed
+    ``evaluate_split``. Returns the record and the seconds the
+    classification took. The record's ``chosen_t`` is None for a fixed
     metric, its ``learn_time`` covers the whole fit, cross-validation
     included, and its ``total_time`` runs from ``start``."""
     fit_start = time.perf_counter()
@@ -712,18 +686,16 @@ def _run_unit(
         train, cfg, policy, k, constraint_count, eval_seed,
         cv_seed=cv_seed, standardize=standardize,
     )[0]
-    learn_time = time.perf_counter() - fit_start
-    outcome = evaluate_split(
-        train, test, cfg, k, constraint_count, eval_seed,
-        metric=metric if learned is None else learned, standardize=standardize,
-    )
+    classify_start = time.perf_counter()
+    error_rate = evaluate_split(train, test, metric if learned is None else learned, k, standardize)
+    classify_time = time.perf_counter() - classify_start
     record = RunRecord(
-        run=run, fold=fold, error_rate=outcome.error_rate,
+        run=run, fold=fold, error_rate=error_rate,
         chosen_t=None if learned is None else learned.config.t,
-        learn_time=learn_time, total_time=time.perf_counter() - start,
+        learn_time=classify_start - fit_start, total_time=time.perf_counter() - start,
         n_train=train.n_points, n_test=test.n_points,
     )
-    return record, outcome
+    return record, classify_time
 
 
 def _build_report(

@@ -38,6 +38,7 @@ from gmml.evaluation import (
     _pick_best,
     default_constraint_count,
     evaluate_split,
+    fit_metric,
     stratified_folds,
 )
 from gmml.io import _encode_labels
@@ -208,8 +209,9 @@ def cross_validate_t_oracle(
     """Reference cross-validation in two phases. Phase one fits every fold
     in order (sample, scatter, ``solve_basis``): a singular scatter raises
     SingularScatter naming it, any other error propagates. Phase two runs
-    one ``evaluate_split`` per (t, fold), each solving and classifying on
-    its own; a NotPositiveDefinite there disqualifies that t.
+    one ``fit_metric`` and one ``evaluate_split`` per (t, fold), each
+    solving and classifying on its own; a NotPositiveDefinite there
+    disqualifies that t.
 
     Same contract as :func:`gmml.cross_validate_t`, which scores every t of
     a fold from one factorization and classifies them together, except for
@@ -250,14 +252,11 @@ def cross_validate_t_oracle(
         errors = []
         for f, (cv_train, cv_val, fold_seed) in enumerate(splits):
             try:
-                outcome = evaluate_split(
-                    cv_train, cv_val, replace(cfg, t=t), k, constraint_count,
-                    fold_seed, standardize=standardize,
-                )
+                metric, _ = fit_metric(cv_train, replace(cfg, t=t), None, k,
+                                       constraint_count, fold_seed, standardize=standardize)
+                errors.append(evaluate_split(cv_train, cv_val, metric, k))
             except NotPositiveDefinite:
                 rejected.append((t, f))
-                continue
-            errors.append(outcome.error_rate)
         if len(errors) < len(splits):
             return TScore(t=t, mean_error=None, stage=stage, disqualified=True)
         return TScore(t=t, mean_error=float(np.mean(errors)), stage=stage)

@@ -418,6 +418,32 @@ def test_eval_refuses_to_standardize_a_standardized_metric(runner, tmp_path, sca
     assert "already carries its standardization" in result.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["learn", "{train}", "--out", "{tmp}/m.gmml"],
+    ["eval", "--train", "{train}", "--test", "{test}"],
+    ["eval", "--train", "{train}", "--test", "{test}", "--metric", "identity"],
+    ["benchmark", "{train}", "--runs", "1"],
+    ["benchmark", "{train}", "--runs", "1", "--baseline"],
+], ids=["learn", "eval", "eval-metric", "benchmark", "benchmark-baseline"])
+def test_a_standardized_prior_needs_standardize(runner, tmp_path, scaled_split, command):
+    # a prior learned with --standardize is in z-scored coordinates: a raw
+    # run refuses it before reading any data, a --standardize run uses it
+    train, test = scaled_split
+    prior = tmp_path / "std.gmml"
+    assert runner.invoke(main, ["learn", str(train), "--standardize", "--lambda", "0.5",
+                                "--out", str(prior)]).exit_code == 0
+    argv = [arg.format(train=train, test=test, tmp=tmp_path) for arg in command]
+    argv += ["--prior", str(prior), "--lambda", "0.5"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert (f"error: prior {prior} was learned with --standardize; add --standardize"
+            in result.stderr)
+    assert "config:" not in result.stderr
+    assert not (tmp_path / "m.gmml").exists()
+    result = runner.invoke(main, [*argv, "--standardize"])
+    assert result.exit_code == 0, all_text(result)
+
+
 def test_eval_cv_report_total_time_includes_cross_validation(runner, blobs_csv, tmp_path):
     out = tmp_path / "rep.json"
     result = runner.invoke(main, ["eval", "--data", str(blobs_csv), "--t", "cv",

@@ -26,6 +26,7 @@ from gmml import (
     cross_validate_t,
     default_constraint_count,
     evaluate_split,
+    fit_metric,
     knn_predict,
     run_benchmark,
     sample_constraints,
@@ -39,7 +40,6 @@ from gmml.evaluation import (
     _one_hot,
     _vote,
     _vote_rows,
-    fit_metric,
     holdout_split,
 )
 from gmml import spd
@@ -265,20 +265,19 @@ def test_fixed_metric_of_the_wrong_shape_raises_dimension_mismatch(metric):
     with pytest.raises(DimensionMismatch):
         knn_predict(data, metric, [0.0, 0.0], k=1)
     with pytest.raises(DimensionMismatch):
-        evaluate_split(data, data, GmmlConfig(), k=1, constraint_count=1, seed=0,
-                       metric=metric)
+        evaluate_split(data, data, metric, k=1)
 
 
 def test_evaluate_split_names_both_dimensions_of_a_mismatch():
     train = LabeledDataset(points=np.zeros((4, 2)), labels=[0, 1, 0, 1])
     test = LabeledDataset(points=np.zeros((2, 3)), labels=[0, 1])
     with pytest.raises(DimensionMismatch, match="train dim 2 vs test dim 3"):
-        evaluate_split(train, test, GmmlConfig(), k=1, constraint_count=4, seed=0)
+        evaluate_split(train, test, np.eye(2), k=1)
 
 
 @pytest.mark.parametrize("classify", [
     lambda data: knn_predict(data, np.eye(2), [0.0, 0.0], k=0),
-    lambda data: evaluate_split(data, data, GmmlConfig(), k=0, constraint_count=40, seed=0),
+    lambda data: evaluate_split(data, data, np.eye(2), k=0),
     lambda data: cross_validate_t(data, CvPolicy(), GmmlConfig(), k=0, seed=0),
     lambda data: run_benchmark(data, SplitPlan(n_runs=1), None, GmmlConfig(), k=0),
 ], ids=["knn_predict", "evaluate_split", "cross_validate_t", "run_benchmark"])
@@ -315,8 +314,26 @@ def test_knn_rejects_non_spd_metric():
     with pytest.raises(NotPositiveDefinite):
         knn_predict(data, np.array([[1.0, 0.5], [0.0, 1.0]]), [0.0, 0.0], k=1)
     with pytest.raises(NotPositiveDefinite):
-        evaluate_split(data, data, GmmlConfig(), k=1, constraint_count=1, seed=0,
-                       metric=np.diag([1.0, -1.0]))
+        evaluate_split(data, data, np.diag([1.0, -1.0]), k=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_knn_rejects_a_non_finite_query(value):
+    data = LabeledDataset(points=np.array([[0.0, 0.0], [1.0, 1.0]]), labels=[0, 1])
+    with pytest.raises(DataError, match="^query contains non-finite values$"):
+        knn_predict(data, np.eye(2), [value, 0.0], k=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_knn_rejects_a_non_finite_metric(value):
+    data = LabeledDataset(points=np.array([[0.0, 0.0], [1.0, 1.0]]), labels=[0, 1])
+    metric = np.diag([value, 1.0])
+    with pytest.raises(NotPositiveDefinite, match="^metric contains non-finite values$"):
+        knn_predict(data, metric, [0.0, 0.0], k=1)
+    with pytest.raises(NotPositiveDefinite, match="^metric contains non-finite values$"):
+        evaluate_split(data, data, metric, k=1)
 
 
 # ------------------------------------------- batched k-NN against the scalar rule
@@ -489,18 +506,14 @@ def test_vote_rows_matches_scalar_vote(problem):
 
 def test_evaluate_split_zero_error_on_self():
     data = make_blobs(np.random.default_rng(7), n_per_class=15)
-    out = evaluate_split(data, data, GmmlConfig(), k=1, constraint_count=80, seed=0)
-    assert out.error_rate == 0.0
-    assert out.n_test == data.n_points
-    assert out.learned is not None
+    metric, _ = fit_metric(data, GmmlConfig(), None, 1, 80, 0)
+    assert evaluate_split(data, data, metric, k=1) == 0.0
 
 
 def test_evaluate_split_regularized_on_rank_deficient_data():
     data = degenerate_dataset()
-    out = evaluate_split(
-        data, data, GmmlConfig(t=0.5, lam=0.1), k=3, constraint_count=40, seed=0
-    )
-    assert 0.0 <= out.error_rate <= 1.0
+    metric, _ = fit_metric(data, GmmlConfig(t=0.5, lam=0.1), None, 3, 40, 0)
+    assert 0.0 <= evaluate_split(data, data, metric, k=3) <= 1.0
 
 
 def test_evaluate_split_blobs_under_five_percent():
@@ -508,18 +521,15 @@ def test_evaluate_split_blobs_under_five_percent():
     data = make_blobs(rng, n_per_class=50, sigma=0.5)
     half = np.arange(0, 100, 2)
     other = np.setdiff1d(np.arange(100), half)
-    out = evaluate_split(
-        data.subset(half), data.subset(other), GmmlConfig(), k=5,
-        constraint_count=80, seed=1,
-    )
-    assert out.error_rate <= 0.05
+    train = data.subset(half)
+    metric, _ = fit_metric(train, GmmlConfig(), None, 5, 80, 1)
+    assert evaluate_split(train, data.subset(other), metric, k=5) <= 0.05
 
 
 def test_evaluate_split_singular_error_names_dataset():
     data = degenerate_dataset()
     with pytest.raises(SingularScatter) as info:
-        evaluate_split(data, data, GmmlConfig(t=0.5, lam=0.0), k=3,
-                       constraint_count=40, seed=0)
+        fit_metric(data, GmmlConfig(t=0.5, lam=0.0), None, 3, 40, 0)
     assert "degenerate" in str(info.value)
     # the context extends the solver's finding rather than replacing it
     assert re.search(r": relative min eigenvalue \S+, while learning \(dataset degenerate\);",
@@ -531,8 +541,7 @@ def test_evaluate_split_identity_metric_matches_brute_force():
     data = make_blobs(rng, n_per_class=30, sigma=3.0)  # overlapping blobs
     train = data.subset(np.arange(0, 60, 2))
     test = data.subset(np.arange(1, 60, 2))
-    out = evaluate_split(train, test, GmmlConfig(), k=5, constraint_count=80,
-                         seed=0, metric=np.eye(2))
+    error = evaluate_split(train, test, np.eye(2), k=5)
 
     wrong = 0
     for q, true_label in zip(test.points, test.labels):
@@ -540,7 +549,7 @@ def test_evaluate_split_identity_metric_matches_brute_force():
         votes = train.labels[np.argsort(dists)[:5]]
         if Counter(votes.tolist()).most_common(1)[0][0] != true_label:
             wrong += 1
-    assert out.error_rate == wrong / test.n_points
+    assert error == wrong / test.n_points
 
 
 def test_evaluate_split_standardize_uses_train_statistics():
@@ -549,9 +558,11 @@ def test_evaluate_split_standardize_uses_train_statistics():
     scaled = LabeledDataset(points=data.points * [1.0, 1000.0], labels=data.labels)
     train = scaled.subset(np.arange(0, 40, 2))
     test = scaled.subset(np.arange(1, 40, 2))
-    out = evaluate_split(train, test, GmmlConfig(), k=3, constraint_count=80,
-                         seed=0, standardize=True)
-    assert out.error_rate <= 0.05
+    metric, _ = fit_metric(train, GmmlConfig(), None, 3, 80, 0, standardize=True)
+    error = evaluate_split(train, test, metric, k=3, standardize=True)
+    assert error <= 0.05
+    # a bare matrix is z-scored by the statistics of train, as it was learned
+    assert evaluate_split(train, test, metric.matrix, k=3, standardize=True) == error
 
 
 def scaled_problem(seed: int, n_per_class: int) -> LabeledDataset:
@@ -601,15 +612,11 @@ def test_knn_predict_standardized_metric_matches_bare_matrix_on_z_scored_points(
 def test_evaluate_split_applies_a_metric_s_own_standardizer():
     train, test = scaled_problem(15, 20), scaled_problem(16, 10)
     cfg = GmmlConfig(lam=0.5)
-    learned = evaluate_split(train, test, cfg, k=3, constraint_count=80, seed=2,
-                             standardize=True)
-    fixed = evaluate_split(train, test, cfg, k=3, constraint_count=80, seed=2,
-                           metric=learned.learned)
-    assert fixed.error_rate == learned.error_rate
+    learned, _ = fit_metric(train, cfg, None, 3, 80, 2, standardize=True)
+    error = evaluate_split(train, test, learned, k=3, standardize=True)
+    assert evaluate_split(train, test, learned, k=3) == error
     # a metric of raw points is not z-scored without ``standardize``
-    raw = evaluate_split(train, test, cfg, k=3, constraint_count=80, seed=2,
-                         metric=learned.learned.matrix)
-    assert raw.error_rate != learned.error_rate
+    assert evaluate_split(train, test, learned.matrix, k=3) != error
 
 
 # -------------------------------------------------------------- stratified_folds

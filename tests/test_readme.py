@@ -24,3 +24,4 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     exec(compile(library_example(), str(README), "exec"), namespace)
     assert namespace["metric"].dim == 4
     assert namespace["d2"] > 0
+    assert 0 <= namespace["error"] <= 1
