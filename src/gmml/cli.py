@@ -63,10 +63,7 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except SingularScatter as exc:
-            _echo(f"error: {exc} (hint: increase --lambda)", err=True)
-            sys.exit(EXIT_NUMERICAL)
-        except (NotPositiveDefinite, ConvergenceError) as exc:
+        except (NotPositiveDefinite, ConvergenceError, SingularScatter) as exc:
             _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except (DataError, DimensionMismatch, OSError) as exc:
@@ -94,61 +91,42 @@ def _parse_grid(ctx, param, value):
         raise click.BadParameter("must be comma-separated numbers") from None
 
 
-def _data_options(fn):
-    fn = click.option(
-        "--label-column", type=int, default=-1, show_default=True,
-        help="Index of the label column; negative counts from the end.",
-    )(fn)
-    fn = click.option(
-        "--standardize", is_flag=True,
-        help="Z-score features using statistics from the training part only.",
-    )(fn)
-    fn = click.option(
-        "--seed", type=click.IntRange(min=0), default=0, show_default=True, envvar="GMML_SEED",
-        help="Base RNG seed (env: GMML_SEED).",
-    )(fn)
-    return fn
-
-def _config_options(fn):
-    fn = click.option(
-        "--t", "t_value", default=str(GmmlConfig.t), show_default=True, callback=_parse_t,
-        help="Geodesic weight in [0, 1], or 'cv' to cross-validate it.",
-    )(fn)
-    fn = click.option(
-        "--lambda", "lam", type=float, default=GmmlConfig.lam, show_default=True,
-        help="Regularization strength blending the prior into both scatters.",
-    )(fn)
-    fn = click.option(
-        "--prior", default="identity", show_default=True,
-        help="Prior matrix: 'identity' or the path of a saved metric file.",
-    )(fn)
-    fn = click.option(
-        "--count", type=click.IntRange(min=1), default=None,
-        help="Constraint pairs to sample [default: 40c(c-1)].",
-    )(fn)
-    return fn
-
-def _cv_options(fn):
-    fn = click.option(
-        "--cv-folds", type=int, default=CvPolicy.cv_folds, show_default=True,
-        help="Folds for cross-validating t.",
-    )(fn)
-    fn = click.option(
-        "--coarse-grid", default=",".join(map(str, DEFAULT_COARSE_GRID)), show_default=True,
-        callback=_parse_grid, help="Comma-separated coarse t candidates.",
-    )(fn)
-    fn = click.option(
-        "--fine-count", type=int, default=CvPolicy.fine_count, show_default=True,
-        help="Number of fine-stage t candidates around the coarse winner.",
-    )(fn)
-    fn = click.option(
-        "--fine-spacing", type=float, default=CvPolicy.fine_spacing, show_default=True,
-        help="Spacing between fine-stage t candidates.",
-    )(fn)
+def _shared_options(fn):
+    """The options every subcommand shares, listed in --help order. The
+    four CV options are named after CvPolicy's fields and reach a command
+    as ``**cv``."""
+    options = (
+        click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+                     envvar="GMML_SEED", help="Base RNG seed (env: GMML_SEED)."),
+        click.option("--standardize", is_flag=True,
+                     help="Z-score features using statistics from the training part only."),
+        click.option("--label-column", type=int, default=-1, show_default=True,
+                     help="Index of the label column; negative counts from the end."),
+        click.option("--count", type=click.IntRange(min=1), default=None,
+                     help="Constraint pairs to sample [default: 40c(c-1)]."),
+        click.option("--prior", default="identity", show_default=True,
+                     help="Prior matrix: 'identity' or the path of a saved metric file."),
+        click.option("--lambda", "lam", type=float, default=GmmlConfig.lam, show_default=True,
+                     help="Regularization strength blending the prior into both scatters."),
+        click.option("--t", "t_value", default=str(GmmlConfig.t), show_default=True,
+                     callback=_parse_t,
+                     help="Geodesic weight in [0, 1], or 'cv' to cross-validate it."),
+        click.option("--fine-spacing", type=float, default=CvPolicy.fine_spacing,
+                     show_default=True, help="Spacing between fine-stage t candidates."),
+        click.option("--fine-count", type=int, default=CvPolicy.fine_count, show_default=True,
+                     help="Number of fine-stage t candidates around the coarse winner."),
+        click.option("--coarse-grid", default=",".join(map(str, DEFAULT_COARSE_GRID)),
+                     show_default=True, callback=_parse_grid,
+                     help="Comma-separated coarse t candidates."),
+        click.option("--cv-folds", type=int, default=CvPolicy.cv_folds, show_default=True,
+                     help="Folds for cross-validating t."),
+    )
+    for option in reversed(options):
+        fn = option(fn)
     return fn
 
 
-def _resolve(t_value, lam, prior, standardize, cv_folds, coarse_grid, fine_count, fine_spacing):
+def _resolve(t_value, lam, prior, standardize, cv):
     """The solver config and the CV policy (None unless --t cv) from the
     shared options; the CV options are validated even without --t cv. A
     prior file learned with --standardize is in z-scored coordinates, so a
@@ -162,7 +140,7 @@ def _resolve(t_value, lam, prior, standardize, cv_folds, coarse_grid, fine_count
                              "add --standardize to use it")
         prior_matrix = saved.matrix
     cfg = GmmlConfig(t=t, lam=lam, prior=prior_matrix)
-    policy = CvPolicy(coarse_grid, fine_count, fine_spacing, cv_folds)
+    policy = CvPolicy(**cv)
     return cfg, policy if t_value == "cv" else None
 
 
@@ -174,12 +152,17 @@ def _match_labels(test, train_names):
     return replace(test, labels=codes[test.labels], label_names=names)
 
 
-def _echo_dataset(data, fingerprint) -> None:
+def _prologue(source, train, count):
+    """Fingerprint ``source`` and echo its config line; return the
+    fingerprint and ``count`` resolved against ``train``."""
+    fingerprint = gio.fingerprint_dataset(source)
+    resolved_count = _pair_count(count, train)
     _echo(
-        f"config: dataset={data.name} n={data.n_points} d={data.n_features} "
-        f"c={data.num_classes} fingerprint={fingerprint.content_hash}",
+        f"config: dataset={source.name} n={source.n_points} d={source.n_features} "
+        f"c={source.num_classes} fingerprint={fingerprint.content_hash}",
         err=True,
     )
+    return fingerprint, resolved_count
 
 
 @click.group()
@@ -190,26 +173,20 @@ def main():
 
 @main.command("learn")
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@_data_options
-@_config_options
-@_cv_options
+@_shared_options
 @click.option("--k", type=click.IntRange(min=1), default=DEFAULT_K, show_default=True,
               help="Neighbors used when --t cv scores candidates.")
 @click.option("--out", type=click.Path(dir_okay=False), default="metric.gmml",
               show_default=True, help="Where to write the learned metric.")
 @_guard
-def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
-              count, cv_folds, coarse_grid, fine_count, fine_spacing, k, out):
+def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior, count,
+              k, out, **cv):
     """Learn a metric from one dataset and save it."""
-    cfg, policy = _resolve(t_value, lam, prior, standardize, cv_folds, coarse_grid,
-                           fine_count, fine_spacing)
+    cfg, policy = _resolve(t_value, lam, prior, standardize, cv)
 
     total_start = time.perf_counter()
     data = gio.load_dataset(dataset, label_column=label_column)
-    fingerprint = gio.fingerprint_dataset(data)
-    resolved_count = _pair_count(count, data)
-
-    _echo_dataset(data, fingerprint)
+    fingerprint, resolved_count = _prologue(data, data, count)
     _echo(
         f"config: t={t_value} lambda={lam} prior={prior} constraints={resolved_count} "
         f"k={k} seed={seed} standardize={standardize}",
@@ -218,11 +195,11 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
     _require_classes(data)
 
     learn_start = time.perf_counter()
-    metric, cv = fit_metric(data, cfg, policy, k, resolved_count, seed,
+    metric, cv_result = fit_metric(data, cfg, policy, k, resolved_count, seed,
                             standardize=standardize, fingerprint=fingerprint.compact())
     learn_time = time.perf_counter() - learn_start
-    if cv is not None:
-        _echo(f"cross-validation chose t={cv.chosen_t:.4g}")
+    if cv_result is not None:
+        _echo(f"cross-validation chose t={cv_result.chosen_t:.4g}")
 
     gio.save_metric(metric, out)
     total_time = time.perf_counter() - total_start
@@ -247,9 +224,7 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
 @click.option("--metric", "metric_path", default=None,
               help="Evaluate a fixed metric: a saved metric file or 'identity' "
                    "for the Euclidean baseline. Omit to learn from --train.")
-@_data_options
-@_config_options
-@_cv_options
+@_shared_options
 @click.option("--k", type=click.IntRange(min=1), default=DEFAULT_K, show_default=True,
               help="Neighbors for classification.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -258,16 +233,14 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior,
               show_default=True, help="Format for --out.")
 @_guard
 def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_column,
-             standardize, seed, t_value, lam, prior, count, cv_folds, coarse_grid,
-             fine_count, fine_spacing, k, out, fmt):
+             standardize, seed, t_value, lam, prior, count, k, out, fmt, **cv):
     """Evaluate k-NN error on one train/test split."""
     if (train_path is None) != (test_path is None):
         raise click.UsageError("--train and --test must be given together")
     if (train_path is None) == (data_path is None):
         raise click.UsageError("give either --train/--test or --data")
 
-    cfg, policy = _resolve(t_value, lam, prior, standardize, cv_folds, coarse_grid,
-                           fine_count, fine_spacing)
+    cfg, policy = _resolve(t_value, lam, prior, standardize, cv)
 
     total_start = time.perf_counter()
     if data_path is not None:
@@ -283,7 +256,6 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
             )
         test = _match_labels(test, train.label_names)
         source = train
-    fingerprint = gio.fingerprint_dataset(source)
 
     metric = None
     if metric_path == "identity":
@@ -294,8 +266,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
             raise ValueError(f"{metric_path} already carries its standardization; "
                              "drop --standardize")
 
-    resolved_count = _pair_count(count, train)
-    _echo_dataset(source, fingerprint)
+    fingerprint, resolved_count = _prologue(source, train, count)
     _echo(
         f"config: metric={metric_path or 'learned'} t={t_value} lambda={lam} "
         f"prior={prior} constraints={resolved_count} k={k} seed={seed} "
@@ -341,9 +312,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
               help="Skip learning and use the identity metric (Euclidean k-NN).")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads for independent run/fold units.")
-@_data_options
-@_config_options
-@_cv_options
+@_shared_options
 @click.option("--k", type=click.IntRange(min=1), default=DEFAULT_K, show_default=True,
               help="Neighbors for classification.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -352,23 +321,18 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
               show_default=True, help="Stdout rendering of the report.")
 @_guard
 def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardize,
-                  seed, t_value, lam, prior, count, cv_folds, coarse_grid,
-                  fine_count, fine_spacing, k, out, fmt):
+                  seed, t_value, lam, prior, count, k, out, fmt, **cv):
     """Repeated-split benchmark with optional CV over t."""
-    cfg, policy = _resolve(t_value, lam, prior, standardize, cv_folds, coarse_grid,
-                           fine_count, fine_spacing)
+    cfg, policy = _resolve(t_value, lam, prior, standardize, cv)
     plan = SplitPlan(n_runs=runs, n_folds=folds, rng_seed=seed)
 
     data = gio.load_dataset(dataset, label_column=label_column)
-    fingerprint = gio.fingerprint_dataset(data)
-    resolved_count = _pair_count(count, data)
-
-    _echo_dataset(data, fingerprint)
+    fingerprint, resolved_count = _prologue(data, data, count)
     _echo(
         f"config: runs={runs} folds={folds} k={k} t={t_value} lambda={lam} "
         f"prior={prior} constraints={resolved_count} baseline={baseline} "
-        f"cv_folds={cv_folds} coarse_grid={','.join(str(g) for g in coarse_grid)} "
-        f"fine_count={fine_count} fine_spacing={fine_spacing} "
+        f"cv_folds={cv['cv_folds']} coarse_grid={','.join(map(str, cv['coarse_grid']))} "
+        f"fine_count={cv['fine_count']} fine_spacing={cv['fine_spacing']} "
         f"seed={seed} standardize={standardize} jobs={jobs}",
         err=True,
     )

@@ -35,7 +35,7 @@ class SingularScatter(GmmlError):
         msg = (
             f"{which} scatter matrix is singular or near-singular"
             f"{': ' + detail if detail else ''}; "
-            "use the regularized solver (lambda > 0) instead"
+            "increase --lambda above 0 for a regularized solve"
         )
         super().__init__(msg)
 

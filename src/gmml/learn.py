@@ -302,11 +302,7 @@ def solve_basis(
                 if cfg.lam > 0 else "; rescale the features, for example with --standardize")
         raise NotPositiveDefinite(f"the whitened dissimilarity scatter overflows float64{hint}")
     w, v = spd.sym_eigen(whitened)
-    if w[0] <= 0:
-        raise NotPositiveDefinite(
-            f"dissimilarity scatter is not positive definite "
-            f"(whitened min eigenvalue {w[0]:.3e})"
-        )
+    spd._require_whitened_pd(w, "dissimilarity scatter")
     return GeodesicBasis(p=spd._back_solve(low, v), w=w), s_used, d_used
 
 

@@ -181,6 +181,15 @@ def _whiten(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, symmetrize(u.T @ x @ u)
 
 
+def _require_whitened_pd(w: np.ndarray, subject: str) -> None:
+    """NotPositiveDefinite naming ``subject`` unless the least of the
+    ascending eigenvalues ``w`` of a whitened matrix is > 0."""
+    if w[0] <= 0:
+        raise NotPositiveDefinite(
+            f"{subject} is not positive definite (whitened min eigenvalue {w[0]:.3e})"
+        )
+
+
 def geodesic(a, b, t: float) -> np.ndarray:
     """Point at parameter t on the SPD geodesic from a to b.
 
@@ -198,11 +207,7 @@ def geodesic(a, b, t: float) -> np.ndarray:
         raise ValueError(f"geodesic parameter t must be in [0, 1], got {t}")
     low, m = _whiten(a, b)
     w, v = sym_eigen(m)
-    if w[0] <= 0:
-        raise NotPositiveDefinite(
-            f"geodesic endpoint b is not positive definite "
-            f"(whitened min eigenvalue {w[0]:.3e})"
-        )
+    _require_whitened_pd(w, "geodesic endpoint b")
     inner = (v * w**t) @ v.T
     return symmetrize(low @ inner @ low.T)
 
@@ -218,11 +223,7 @@ def riemannian_distance(x, y) -> float:
     y = as_square(y, "distance operand y")
     _require_same_dim(x, y, "distance operands")
     w = _sym_eigvals(_whiten(y, x)[1])
-    if w[0] <= 0:
-        raise NotPositiveDefinite(
-            f"distance operand is not positive definite "
-            f"(whitened min eigenvalue {w[0]:.3e})"
-        )
+    _require_whitened_pd(w, "distance operand")
     return float(np.sqrt(np.sum(np.log(w) ** 2)))
 
 

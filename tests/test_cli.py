@@ -187,6 +187,9 @@ def test_learn_singular_scatter_suggests_lambda(runner, degenerate_csv, tmp_path
                                   "--out", str(tmp_path / "m.gmml")])
     assert result.exit_code == 4
     assert "increase --lambda" in all_text(result)
+    # the exception's text is the one hint
+    assert "(hint:" not in result.stderr
+    assert result.stderr.count("--lambda") == 1
 
 
 def test_learn_parse_error_exits_with_data_code(runner, tmp_path):
@@ -883,6 +886,15 @@ def test_help_screens(runner):
     assert runner.invoke(main, ["--help"]).exit_code == 0
     for sub in ("learn", "eval", "benchmark"):
         assert runner.invoke(main, [sub, "--help"]).exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["learn", "eval", "benchmark"])
+def test_cv_options_default_to_the_cv_policy_fields(blobs_csv, command):
+    # the CV options reach CvPolicy(**cv) by field name
+    cmd = main.commands[command]
+    ctx = cmd.make_context(command, [] if command == "eval" else [str(blobs_csv)])
+    for field in dataclasses.fields(gmml.CvPolicy):
+        assert ctx.params[field.name] == field.default, field.name
 
 
 def test_version_needs_no_installed_package_metadata(runner, monkeypatch):

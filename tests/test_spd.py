@@ -230,6 +230,11 @@ def test_riemannian_distance_diagonal_value():
     assert abs(riemannian_distance(np.diag([e2, e2]), np.eye(2)) - 2 * np.sqrt(2)) <= 1e-12
 
 
+def test_riemannian_distance_rejects_an_indefinite_operand():
+    with pytest.raises(NotPositiveDefinite, match="distance operand is not positive definite"):
+        riemannian_distance(np.diag([-1.0, 1.0]), np.eye(2))
+
+
 def test_riemannian_distance_symmetric_in_arguments():
     rng = np.random.default_rng(11)
     for _ in range(10):
