@@ -152,16 +152,23 @@ def _match_labels(test, train_names):
     return replace(test, labels=codes[test.labels], label_names=names)
 
 
-def _prologue(source, train, count):
-    """Fingerprint ``source`` and echo its config line; return the
-    fingerprint and ``count`` resolved against ``train``."""
+def _prologue(source, train, count, **derived):
+    """Fingerprint ``source`` and echo the two config lines: the data, then
+    each option of the running command as click parsed it, in --help order
+    and named by its long flag, and the ``derived`` values last. ``count``
+    is shown resolved against ``train``, as ``constraints``. Return the
+    fingerprint and the resolved count."""
     fingerprint = gio.fingerprint_dataset(source)
     resolved_count = _pair_count(count, train)
-    _echo(
-        f"config: dataset={source.name} n={source.n_points} d={source.n_features} "
-        f"c={source.num_classes} fingerprint={fingerprint.content_hash}",
-        err=True,
-    )
+    _echo(f"config: dataset={source.name} n={source.n_points} d={source.n_features} "
+          f"c={source.num_classes} fingerprint={fingerprint.content_hash}", err=True)
+    ctx = click.get_current_context()
+    shown = [("constraints", resolved_count) if p.name == "count" else
+             (max(p.opts, key=len).lstrip("-").replace("-", "_"), ctx.params[p.name])
+             for p in ctx.command.params if isinstance(p, click.Option)]
+    _echo("config: " + " ".join(
+        f"{name}={','.join(map(str, value)) if isinstance(value, tuple) else value}"
+        for name, value in [*shown, *derived.items()]), err=True)
     return fingerprint, resolved_count
 
 
@@ -187,11 +194,6 @@ def cmd_learn(dataset, label_column, standardize, seed, t_value, lam, prior, cou
     total_start = time.perf_counter()
     data = gio.load_dataset(dataset, label_column=label_column)
     fingerprint, resolved_count = _prologue(data, data, count)
-    _echo(
-        f"config: t={t_value} lambda={lam} prior={prior} constraints={resolved_count} "
-        f"k={k} seed={seed} standardize={standardize}",
-        err=True,
-    )
     _require_classes(data)
 
     learn_start = time.perf_counter()
@@ -243,6 +245,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
     cfg, policy = _resolve(t_value, lam, prior, standardize, cv)
 
     total_start = time.perf_counter()
+    derived = {}
     if data_path is not None:
         full = gio.load_dataset(data_path, label_column=label_column)
         train, test = holdout_split(full, holdout, seed)
@@ -254,6 +257,7 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
             raise DimensionMismatch(
                 f"train has {train.n_features} features, test has {test.n_features}"
             )
+        derived["test_fingerprint"] = gio.fingerprint_dataset(test).content_hash
         test = _match_labels(test, train.label_names)
         source = train
 
@@ -266,13 +270,8 @@ def cmd_eval(train_path, test_path, data_path, holdout, metric_path, label_colum
             raise ValueError(f"{metric_path} already carries its standardization; "
                              "drop --standardize")
 
-    fingerprint, resolved_count = _prologue(source, train, count)
-    _echo(
-        f"config: metric={metric_path or 'learned'} t={t_value} lambda={lam} "
-        f"prior={prior} constraints={resolved_count} k={k} seed={seed} "
-        f"standardize={standardize} train_n={train.n_points} test_n={test.n_points}",
-        err=True,
-    )
+    fingerprint, resolved_count = _prologue(source, train, count, train_n=train.n_points,
+                                            test_n=test.n_points, **derived)
     if metric is None:
         _require_classes(train)
 
@@ -328,14 +327,6 @@ def cmd_benchmark(dataset, runs, folds, baseline, jobs, label_column, standardiz
 
     data = gio.load_dataset(dataset, label_column=label_column)
     fingerprint, resolved_count = _prologue(data, data, count)
-    _echo(
-        f"config: runs={runs} folds={folds} k={k} t={t_value} lambda={lam} "
-        f"prior={prior} constraints={resolved_count} baseline={baseline} "
-        f"cv_folds={cv['cv_folds']} coarse_grid={','.join(map(str, cv['coarse_grid']))} "
-        f"fine_count={cv['fine_count']} fine_spacing={cv['fine_spacing']} "
-        f"seed={seed} standardize={standardize} jobs={jobs}",
-        err=True,
-    )
 
     report = run_benchmark(
         data, plan, policy, cfg, k=k, constraint_count=resolved_count,

@@ -170,7 +170,7 @@ def _read_token_by_token(path: Path, lines: list[str], label_column: int):
     ``float()``; raises the error :func:`load_dataset` documents."""
     width = col = features = comma = None
     label_tokens: list[str] = []
-    bad_row = None  # (lineno, label, feature tokens) of the first row with a bad value
+    error = None  # the ParseError of the first row with a bad value
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
@@ -188,42 +188,35 @@ def _read_token_by_token(path: Path, lines: list[str], label_column: int):
             raise InconsistentWidth(f"expected {width} columns, found {len(fields)}", lineno)
         # after a bad value only the widths are still checked, since a
         # later InconsistentWidth takes precedence over it
-        if bad_row is not None or not 0 <= col < width:
+        if error is not None or not 0 <= col < width:
             continue
         label = fields.pop(col).strip()
-        try:
-            # float() strips less than str.strip(), which also removes U+001F
-            values = [float(f.strip()) for f in fields]
-        except ValueError:
-            values = None
-        if not label or values is None or not all(map(isfinite, values)):
-            bad_row = (lineno, label, fields)
+        if not label:
+            error = ParseError(f"empty label in column {col}", lineno)
             continue
-        features[len(label_tokens)] = values
-        label_tokens.append(label)
+        values = []
+        # float() strips less than str.strip(), which also removes U+001F
+        for tok in map(str.strip, fields):
+            try:
+                value = float(tok)
+            except ValueError:
+                error = ParseError(f"non-numeric feature value {tok!r}", lineno)
+                break
+            if not isfinite(value):
+                error = ParseError(f"non-finite feature value {tok!r}", lineno)
+                break
+            values.append(value)
+        else:
+            features[len(label_tokens)] = values
+            label_tokens.append(label)
 
     if width is None:
         raise EmptyFile(f"{path} contains no data rows")
     if not 0 <= col < width:
         raise ParseError(f"label column {label_column} out of range for {width} columns")
-    if bad_row is not None:
-        raise _bad_value(col, *bad_row)
+    if error is not None:
+        raise error
     return features[: len(label_tokens)], label_tokens
-
-
-def _bad_value(col: int, lineno: int, label: str, fields: list[str]) -> ParseError:
-    """The error for a row whose label is empty or a feature is not a finite number."""
-    if not label:
-        return ParseError(f"empty label in column {col}", lineno)
-    for tok in fields:
-        tok = tok.strip()
-        try:
-            value = float(tok)
-        except ValueError:
-            return ParseError(f"non-numeric feature value {tok!r}", lineno)
-        if not isfinite(value):
-            return ParseError(f"non-finite feature value {tok!r}", lineno)
-    raise AssertionError("row has no bad value")
 
 
 def _encode_labels(tokens: list[str]) -> tuple[np.ndarray, list[str]]:

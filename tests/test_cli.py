@@ -8,9 +8,11 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -897,6 +899,72 @@ def test_cv_options_default_to_the_cv_policy_fields(blobs_csv, command):
         assert ctx.params[field.name] == field.default, field.name
 
 
+def config_line(stderr):
+    """The second ``config:`` line of ``stderr`` as {name: text}, in order."""
+    line = [ln for ln in stderr.splitlines() if ln.startswith("config: ")][1]
+    return dict(tok.split("=", 1) for tok in line[len("config: "):].split())
+
+
+def test_learn_echoes_its_cv_options_and_label_column(runner, blobs_csv, tmp_path):
+    result = runner.invoke(main, ["learn", str(blobs_csv), "--t", "cv", "--cv-folds", "3",
+                                  "--coarse-grid", "0.2,0.6", "--fine-count", "4",
+                                  "--fine-spacing", "0.05", "--seed", "3",
+                                  "--out", str(tmp_path / "m.gmml")])
+    assert result.exit_code == 0, all_text(result)
+    echoed = config_line(result.stderr)
+    assert {"cv_folds": "3", "coarse_grid": "0.2,0.6", "fine_count": "4",
+            "fine_spacing": "0.05", "label_column": "-1", "t": "cv", "seed": "3",
+            "constraints": "80"}.items() <= echoed.items()
+
+
+@pytest.mark.parametrize("command, argv, derived", [
+    ("learn", ["{data}", "--t", "cv", "--cv-folds", "3", "--coarse-grid", "0.2,0.6",
+               "--fine-count", "4", "--lambda", "0.1", "--count", "50", "--k", "3",
+               "--label-column", "2", "--out", "{tmp}/m.gmml"], []),
+    ("eval", ["--data", "{data}", "--holdout", "0.4", "--metric", "identity",
+              "--standardize", "--format", "table", "--out", "{tmp}/r.txt"],
+     ["train_n", "test_n"]),
+    ("benchmark", ["{data}", "--runs", "1", "--folds", "3", "--baseline", "--jobs", "2",
+                   "--t", "0.3", "--seed", "4", "--format", "json"], []),
+], ids=["learn", "eval", "benchmark"])
+def test_config_echo_shows_every_option_as_parsed(runner, blobs_csv, tmp_path, command,
+                                                  argv, derived):
+    argv = [a.format(data=blobs_csv, tmp=tmp_path) for a in argv]
+    cmd = main.commands[command]
+    parsed = cmd.make_context(command, list(argv)).params
+    result = runner.invoke(main, [command, *argv])
+    assert result.exit_code == 0, all_text(result)
+    echoed = config_line(result.stderr)
+    # each option under its long flag, --count resolved (40c(c-1) = 80 on two
+    # classes), then the values the command derives
+    expected = {}
+    for param in cmd.params:
+        if isinstance(param, click.Option):
+            name, value = param.opts[0][2:].replace("-", "_"), parsed[param.name]
+            if name == "count":
+                expected["constraints"] = str(value or 80)
+            else:
+                expected[name] = (",".join(map(str, value)) if isinstance(value, tuple)
+                                  else str(value))
+    assert list(echoed) == [*expected, *derived]
+    assert {name: echoed[name] for name in expected} == expected
+
+
+def test_eval_echoes_the_fingerprint_of_its_test_file(runner, blobs_csv, tmp_path):
+    # the test file holds class 1 only, which it codes 0 on its own and
+    # eval recodes to 1; the echo shows the file's own fingerprint
+    test_csv = tmp_path / "ones.csv"
+    test_csv.write_text("".join(ln + "\n" for ln in blobs_csv.read_text().splitlines()
+                                if ln.endswith(",1")))
+    result = runner.invoke(main, ["eval", "--train", str(blobs_csv), "--test", str(test_csv),
+                                  "--metric", "identity"])
+    assert result.exit_code == 0, all_text(result)
+    own = gmml.fingerprint_dataset(load_dataset(test_csv)).content_hash
+    assert config_line(result.stderr)["test_fingerprint"] == own
+    assert "test_fingerprint" not in config_line(
+        runner.invoke(main, ["eval", "--data", str(blobs_csv), "--metric", "identity"]).stderr)
+
+
 def test_version_needs_no_installed_package_metadata(runner, monkeypatch):
     # the tests and the benchmark run the source tree, where no metadata exists
     def missing(name):
@@ -909,10 +977,14 @@ def test_version_needs_no_installed_package_metadata(runner, monkeypatch):
 
 
 def test_pyproject_version_is_package_version():
-    tomllib = pytest.importorskip("tomllib")
+    # pyproject.toml reads its version from gmml.__version__, the one place it is written
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as handle:
-        assert tomllib.load(handle)["project"]["version"] == gmml.__version__
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is "beta" in some versions
+        project = pyprojecttoml.read_configuration(pyproject)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == gmml.__version__
 
 
 NO_SCIPY_SCRIPT = """
