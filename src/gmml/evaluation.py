@@ -172,9 +172,9 @@ def _pair_count(count: int | None, data: LabeledDataset) -> int:
 
 
 def _require_classes(data: LabeledDataset) -> None:
-    if data.num_classes < 2:
+    if len(set(data.labels.tolist())) < 2:  # the classes present, not num_classes
         raise DataError(
-            f"dataset {data.name!r} has {data.num_classes} class; "
+            f"dataset {data.name!r} has 1 class; "
             "metric learning needs at least 2"
         )
 

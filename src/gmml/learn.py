@@ -13,7 +13,7 @@ as a built-in self check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +64,16 @@ class PairConstraints:
 class ScatterMatrices:
     """Similarity and dissimilarity scatter matrices with pair counts.
 
-    ``extreme_eigenvalues`` maps "similarity" and "dissimilarity" to the
-    (min, max) eigenvalues found by the positive semi-definiteness check.
+    Construction symmetrizes both and checks only shape and finiteness, so
+    an indefinite pair is accepted here. :func:`solve` refuses it: at
+    ``lam = 0`` as SingularScatter; at ``lam > 0`` the blended pair must
+    factor, whiten positive definite and give an SPD metric.
     """
 
     s_mat: np.ndarray
     d_mat: np.ndarray
     sim_count: int
     dis_count: int
-    extreme_eigenvalues: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = spd.symmetrize(self.s_mat)
@@ -81,18 +82,12 @@ class ScatterMatrices:
             raise DimensionMismatch(
                 f"scatter matrices have mismatched shapes {s.shape} and {d.shape}"
             )
-        extremes = {}
         for name, m in (("similarity", s), ("dissimilarity", d)):
             if not np.isfinite(m).all():
                 raise NotPositiveDefinite(
                     f"{name} scatter matrix is not finite: the features are too "
                     "large for its sums; rescale them, for example with --standardize"
                 )
-            w = spd._sym_eigvals(m)
-            if w[0] < -1e-10 * max(w[-1], 0.0):
-                raise ValueError(f"{name} scatter matrix is not positive semi-definite")
-            extremes[name] = (w[0], w[-1])
-        object.__setattr__(self, "extreme_eigenvalues", extremes)
         object.__setattr__(self, "s_mat", s)
         object.__setattr__(self, "d_mat", d)
 
@@ -280,9 +275,10 @@ def solve_basis(
     if cfg.prior is not None:
         cfg.prior_for_dim(sc.dim)  # a prior of the wrong size fails whatever lam is
     if cfg.lam == 0.0:
-        for which, (lo, hi) in sc.extreme_eigenvalues.items():
-            if not spd._relative_guard(np.array((lo, hi))):
-                ratio = lo / hi if hi > 0 else lo
+        for which, m in (("similarity", sc.s_mat), ("dissimilarity", sc.d_mat)):
+            w = spd._sym_eigvals(m)
+            if not spd._relative_guard(w):
+                ratio = w[0] / w[-1] if w[-1] > 0 else w[0]
                 raise SingularScatter(which, f"relative min eigenvalue {ratio:.3e}")
         s_used, d_used = sc.s_mat, sc.d_mat
     else:

@@ -600,7 +600,7 @@ def test_failing_eigensolver_is_a_convergence_error(runner, blobs_csv, tmp_path,
     with pytest.raises(ConvergenceError, match=message):
         sym_eigen(np.eye(2))
     with pytest.raises(ConvergenceError, match=message):
-        ScatterMatrices(s_mat=np.eye(2), d_mat=np.eye(2), sim_count=1, dis_count=1)
+        solve(ScatterMatrices(s_mat=np.eye(2), d_mat=np.eye(2), sim_count=1, dis_count=1))
     out = tmp_path / "m.gmml"
     result = runner.invoke(main, ["learn", str(blobs_csv), "--out", str(out)])
     assert result.exit_code == 4, all_text(result)

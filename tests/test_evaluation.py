@@ -1102,14 +1102,17 @@ def test_benchmark_cv_mode_records_chosen_t():
 
 def test_benchmark_rejects_single_class_unless_baseline():
     rng = np.random.default_rng(21)
-    data = LabeledDataset(points=rng.standard_normal((10, 2)), labels=np.zeros(10, dtype=int))
-    with pytest.raises(DataError, match="has 1 class; metric learning needs at least 2"):
-        run_benchmark(data, SplitPlan(n_runs=1, n_folds=2, rng_seed=0), None, GmmlConfig())
-    report = run_benchmark(
-        data, SplitPlan(n_runs=1, n_folds=2, rng_seed=0), None, GmmlConfig(),
-        baseline=True, constraint_count=10,
-    )
-    assert report.n_failures == 0
+    points = rng.standard_normal((10, 2))
+    # labels all 1 give num_classes 2, yet only one class is present
+    for label in (0, 1):
+        data = LabeledDataset(points=points, labels=np.full(10, label))
+        with pytest.raises(DataError, match="has 1 class; metric learning needs at least 2"):
+            run_benchmark(data, SplitPlan(n_runs=1, n_folds=2, rng_seed=0), None, GmmlConfig())
+        report = run_benchmark(
+            data, SplitPlan(n_runs=1, n_folds=2, rng_seed=0), None, GmmlConfig(),
+            baseline=True, constraint_count=10,
+        )
+        assert report.n_failures == 0
 
 
 def test_benchmark_rejects_a_prior_of_another_dimension_unless_baseline():

@@ -124,9 +124,11 @@ def test_scatter_rejects_out_of_range_pair():
 @pytest.mark.parametrize("build, error, message", [
     (lambda: ScatterMatrices(s_mat=np.eye(2), d_mat=np.eye(3), sim_count=0, dis_count=0),
      DimensionMismatch, r"scatter matrices have mismatched shapes \(2, 2\) and \(3, 3\)"),
-    (lambda: ScatterMatrices(s_mat=np.diag([1.0, -1.0]), d_mat=np.eye(2), sim_count=0,
-                             dis_count=0),
-     ValueError, "similarity scatter matrix is not positive semi-definite"),
+    # construction accepts an indefinite pair; the solver's guard refuses it
+    (lambda: solve(ScatterMatrices(s_mat=np.diag([1.0, -1.0]), d_mat=np.eye(2),
+                                   sim_count=0, dis_count=0)),
+     SingularScatter, "similarity scatter matrix is singular or near-singular: "
+                      r"relative min eigenvalue -1\.000e\+00"),
     (lambda: scatter_matrices(np.zeros(4), PairConstraints(sim_pairs=[[0, 1]], dis_pairs=[])),
      DimensionMismatch, r"points must be 2-d, got shape \(4,\)"),
 ], ids=["shapes", "indefinite", "points-1d"])
@@ -446,18 +448,23 @@ def test_solve_factors_ill_conditioned_pair_the_oracle_rejects():
 
 
 def test_solve_factors_once(monkeypatch):
-    # one Cholesky of S and one eigendecomposition; the only eigvalsh is the
-    # SPD check of the result, since the scatter guard reuses the extreme
-    # eigenvalues ScatterMatrices found
+    # a whole fit, scatter build plus solve: one Cholesky of S and one
+    # eigendecomposition. Building the scatters runs no eigvalsh; the solve
+    # runs one for the SPD check of the result and, at lam = 0 only, one per
+    # scatter for the singular-scatter guard
     rng = np.random.default_rng(22)
-    sc = random_sc(rng, 5)
+    pts = rng.standard_normal((12, 5))
+    pairs = PairConstraints(sim_pairs=[[i, i + 1] for i in range(0, 12, 2)],
+                            dis_pairs=[[i, i + 6] for i in range(6)])
     calls = []
     for name in ("cholesky", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
-    solve(sc)
-    assert sorted(calls) == ["cholesky", "eigh", "eigvalsh"]
+    for lam, eigvalsh_calls in ((0.0, 3), (0.5, 1)):
+        calls.clear()
+        solve(scatter_matrices(pts, pairs), GmmlConfig(lam=lam))
+        assert sorted(calls) == ["cholesky", "eigh"] + ["eigvalsh"] * eigvalsh_calls, lam
 
 
 def test_solve_identity_prior_factors_once(monkeypatch):
