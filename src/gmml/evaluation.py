@@ -300,41 +300,60 @@ def _vote_rows(
 
 
 def _knn_labels(
-    train_pts: np.ndarray, train_labels: np.ndarray, a: np.ndarray,
+    train_pts: np.ndarray, train_labels: np.ndarray, a: np.ndarray, factors: np.ndarray,
     queries: np.ndarray, k: int,
 ) -> np.ndarray:
     """k-NN labels of the rows of ``queries`` under every metric of the
     (T, d, d) stack ``a``: entry (t, i) of the (T, q) result is decided
     exactly as ``_vote(_distances_to_all(a[t], train_pts, queries[i]),
-    train_labels, k)`` would decide it.
+    train_labels, k)`` would decide it. ``factors[t] @ factors[t].T`` must
+    equal ``a[t]`` up to rounding: a Cholesky factor of a fixed metric, or
+    the F_t = P diag(w^{t/2}) of a geodesic (``GeodesicBasis.factors``).
 
-    Train and queries are embedded by the Cholesky factors A_t = L_t L_t^T
-    of the whole stack, factored at once, so that
-    d_t(x, y) = ||xL_t||^2 + ||yL_t||^2 - 2 (xL_t).(yL_t), one stacked GEMM
+    Train and queries are embedded by the factors F_t, so that
+    d_t(x, y) = ||xF_t||^2 + ||yF_t||^2 - 2 (xF_t).(yF_t), one stacked GEMM
     per block of queries. That Gram distance g differs from the exact
     distance e of ``_distances_to_all`` by at most
 
-        delta_t = (d + 3)^2 * eps * tr(A_t) * (||x||^2 + max_y ||y||^2),
+        delta_t = (d + 3)^2 * eps * tr(A_t) * (||x||^2 + max_y ||y||^2).
 
-    a first-order bound on the rounding of the Cholesky factor, the
-    embedding, the dot products and the einsum, with tr(A_t) >= ||A_t||_2
-    and the norms taken before embedding (an ill-conditioned L_t can shrink
-    the embedded norms far below the error of embedding). A block's
-    (T, rows, n) Gram distances are voted at once by ``_vote_rows``, as
-    T * rows rows each with its own delta. A row it cannot decide exactly
-    (a distance within 2 delta of the k-th, or a vote tie within 2 delta on
-    mean distance) is decided by the scalar rule under its own A_t: every
-    point whose exact distance is at most the row's k-th exact distance has
-    a Gram distance at most 2 delta above the row's k-th Gram distance, or
-    above its _MIN_CANDIDATES-th when k is smaller. Those candidates get
-    their exact distances back, and ``_vote`` on them sees the same voters
-    as on all of train: duplicates, ties at the k-th distance and vote ties
-    are decided the same way. One budget, _BLOCK_ELEMENTS floats, bounds
-    both a chunk of the stack's train embeddings and a block's distances,
-    so memory stays bounded whatever T and the query count.
+    To first order, with s = ||x||^2 + ||y||^2 >= ||x - y||^2 / 2, a sum
+    of n terms rounding by at most n eps/2 of their magnitudes, and
+    ||F_t||_F^2 = tr(A_t) >= ||A_t||_2 (in exact arithmetic, for F_t as for
+    a Cholesky factor):
 
-    Raises ValueError when k < 1, and NotPositiveDefinite when a matrix of
-    ``a`` is not symmetric or has no Cholesky factor.
+    - the factor: each entry of A_t and of F_t F_t^T is a d-term sum over
+      the same products, formed with at most d + 3 and 4 roundings, so
+      |u^T (F_t F_t^T - A_t) u| <= (d + 7)/2 * eps * tr(A_t) * ||u||^2,
+      whatever the spread of w: each term carries its own w_j^t and its
+      own rounding, and sum_j w_j^t (|u|.|p_j|)^2 <= tr(A_t) ||u||^2 (a
+      Cholesky factor's backward error, (d + 1)/2 eps of the same
+      magnitudes, is smaller);
+    - the embedding rounds xF_t by at most d eps/2 ||x|| ||F_t||_F, which
+      moves g by at most 2d eps tr(A_t) s, and the three dot products and
+      their sum round by at most (d + 2) eps tr(A_t) s;
+    - the einsum of e, d^2 products of three factors, and u = x - y round
+      by at most (d^2 + 3) eps tr(A_t) s.
+
+    That is (d^2 + 4d + 12) eps tr(A_t) s in all, within delta_t for
+    d >= 2 (at d = 1 the symmetrization rounds nothing and the total is
+    16 = (d + 3)^2). The norms are taken before embedding: an
+    ill-conditioned factor can shrink the embedded norms far below the
+    error of embedding. A block's (T, rows, n) Gram distances are voted
+    at once by ``_vote_rows``, as T * rows rows each with its own delta.
+    A row it cannot decide exactly (a distance within 2 delta of the k-th,
+    or a vote tie within 2 delta on mean distance) is decided by the
+    scalar rule under its own A_t: every point whose exact distance is at
+    most the row's k-th exact distance has a Gram distance at most 2 delta
+    above the row's k-th Gram distance, or above its _MIN_CANDIDATES-th
+    when k is smaller. Those candidates get their exact distances back,
+    and ``_vote`` on them sees the same voters as on all of train:
+    duplicates, ties at the k-th distance and vote ties are decided the
+    same way. One budget, _BLOCK_ELEMENTS floats, bounds both a chunk of
+    the stack's train embeddings and a block's distances, so memory stays
+    bounded whatever T and the query count.
+
+    Raises ValueError when k < 1; nothing here checks or factors ``a``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -342,9 +361,6 @@ def _knn_labels(
     if k > n:
         warnings.warn(f"k={k} exceeds {n} training points; clamping to {n}")
         k = n
-    if not np.array_equal(a, a.swapaxes(1, 2)):
-        raise NotPositiveDefinite("metric is not symmetric")
-    low = cholesky(a)
     classes, one_hot = _one_hot(train_labels)
     max_raw = np.einsum("ij,ij->i", train_pts, train_pts).max()
     query_raw = np.einsum("ij,ij->i", queries, queries) + max_raw
@@ -354,7 +370,7 @@ def _knn_labels(
     predicted = np.empty((a.shape[0], queries.shape[0]), dtype=np.int64)
     per_chunk = max(1, _BLOCK_ELEMENTS // (n * d))
     for first in range(0, a.shape[0], per_chunk):
-        chunk = low[first:first + per_chunk]
+        chunk = factors[first:first + per_chunk]
         m = chunk.shape[0]
         train_emb = train_pts @ chunk
         train_sq = np.einsum("tij,tij->ti", train_emb, train_emb)
@@ -400,9 +416,9 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
 
     Raises DimensionMismatch when ``metric`` or ``query`` does not fit the
     data, NotPositiveDefinite when ``metric`` is not SPD or not finite, and
-    DataError when ``query`` is not finite.
+    DataError when ``query`` is not finite. The metric is checked first.
     """
-    a = _metric_array(metric, train.n_features)
+    a, low = _metric_array(metric, train.n_features)
     query = np.asarray(query, dtype=float).ravel()
     if query.shape[0] != train.n_features:
         raise DimensionMismatch(
@@ -411,19 +427,22 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
     if not np.isfinite(query).all():
         raise DataError("query contains non-finite values")
     train_pts, queries = _coordinates(metric, False, train.points, query[None, :])
-    return int(_knn_labels(train_pts, train.labels, a[None], queries, k)[0, 0])
+    return int(_knn_labels(train_pts, train.labels, a[None], low[None], queries, k)[0, 0])
 
 
-def _metric_array(metric, dim: int) -> np.ndarray:
-    """The matrix of a fixed ``metric`` (an array or LearnedMetric), which
-    must be ``dim`` x ``dim`` (DimensionMismatch otherwise) and finite
-    (NotPositiveDefinite otherwise)."""
+def _metric_array(metric, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix A of a fixed ``metric`` (an array or LearnedMetric) and
+    its Cholesky factor L, A = L L^T. A must be ``dim`` x ``dim``
+    (DimensionMismatch otherwise), and finite, exactly symmetric and
+    Cholesky-factorable (NotPositiveDefinite otherwise, in that order)."""
     a = as_square(metric.matrix if isinstance(metric, LearnedMetric) else metric, "metric")
     if a.shape[0] != dim:
         raise DimensionMismatch(f"metric dim {a.shape[0]} vs data dim {dim}")
     if not np.isfinite(a).all():
         raise NotPositiveDefinite("metric contains non-finite values")
-    return a
+    if not np.array_equal(a, a.T):
+        raise NotPositiveDefinite("metric is not symmetric")
+    return a, cholesky(a)
 
 
 def _coordinates(metric, standardize: bool, train_pts: np.ndarray, *others: np.ndarray):
@@ -504,9 +523,9 @@ def evaluate_split(
         raise DimensionMismatch(
             f"train dim {train.n_features} vs test dim {test.n_features}"
         )
-    a = _metric_array(metric, train.n_features)
+    a, low = _metric_array(metric, train.n_features)
     train_pts, test_pts = _coordinates(metric, standardize, train.points, test.points)
-    predicted = _knn_labels(train_pts, train.labels, a[None], test_pts, k)[0]
+    predicted = _knn_labels(train_pts, train.labels, a[None], low[None], test_pts, k)[0]
     return int(np.count_nonzero(predicted != test.labels)) / test.n_points
 
 
@@ -595,10 +614,12 @@ def cross_validate_t(
     ``fit_metric`` does.
 
     Step one scores the coarse grid; step two scores a fine window around
-    the coarse winner. Per fold, a stage's A_t are stacked, checked by one
-    stacked SPD guard (``spd_mask``, the guard of a learned metric) and the
-    accepted ones classified by one ``_knn_labels`` call, whose errors
-    propagate. A t whose A_t the guard rejects on any fold is disqualified;
+    the coarse winner. Per fold, a stage's A_t are built in one stacked
+    product (``GeodesicBasis.matrices``) and checked by one stacked SPD
+    guard (``spd_mask``, the guard of a learned metric). The accepted ones
+    are classified by one ``_knn_labels`` call through their geodesic
+    factors F_t = P diag(w^{t/2}), so nothing is factored after the folds'
+    own fits. A t whose A_t the guard rejects on any fold is disqualified;
     every other t scores its mean validation error over the folds. The
     overall argmin wins, with ties broken toward the t nearest 0.5. With
     every t disqualified, NotPositiveDefinite names the first rejected
@@ -634,11 +655,12 @@ def cross_validate_t(
         rejected = np.zeros((len(ts), n_folds), dtype=bool)
         errors = np.zeros((len(ts), n_folds))
         for f, (train_labels, train_pts, val_labels, val_pts, basis) in enumerate(fits):
-            stack = np.stack([basis.matrix(t) for t in ts])
+            stack = basis.matrices(ts)
             passed = spd_mask(stack)
             rejected[:, f] = ~passed
             if passed.any():
-                predicted = _knn_labels(train_pts, train_labels, stack[passed], val_pts, k)
+                factors = basis.factors(np.compress(passed, ts))
+                predicted = _knn_labels(train_pts, train_labels, stack[passed], factors, val_pts, k)
                 wrong = np.count_nonzero(predicted != val_labels, axis=1)
                 errors[passed, f] = wrong / val_labels.size
         scores = [

@@ -142,15 +142,27 @@ class GeodesicBasis:
     """The factored scatter pair behind a solve: with S = L L^T and
     L^T D L = V diag(w) V^T, ``p`` is P = L^{-T} V and ``w`` holds the
     eigenvalues, ascending. Every point of the geodesic is then
-    A_t = P diag(w^t) P^T.
+    A_t = P diag(w^t) P^T, and F_t = P diag(w^{t/2}) factors it as
+    A_t = F_t F_t^T, so one factorization serves every t.
     """
 
     p: np.ndarray
     w: np.ndarray
 
-    def matrix(self, t: float) -> np.ndarray:
-        """A_t, built exactly as :func:`solve` builds its metric."""
-        return spd.symmetrize((self.p * self.w**t) @ self.p.T)
+    def matrices(self, ts) -> np.ndarray:
+        """The (T, d, d) stack of A_t, one per t of ``ts``, from one stacked
+        product, each slice symmetrized. A slice does not depend on the
+        other ts: it is the metric :func:`solve` returns at its t, bit for
+        bit. Each w^t is taken with a scalar exponent, as solve has always
+        taken it: numpy's power over an array of exponents runs another
+        loop, which rounds some values differently."""
+        a = (self.p * np.stack([self.w**t for t in ts])[:, None, :]) @ self.p.T
+        return (a + a.swapaxes(1, 2)) / 2
+
+    def factors(self, ts) -> np.ndarray:
+        """The (T, d, d) stack of F_t = P diag(w^{t/2}), one per t of
+        ``ts``: F_t F_t^T is A_t up to rounding."""
+        return self.p * np.stack([self.w ** (t / 2) for t in ts])[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -322,20 +334,20 @@ def solve(
     L^T D L = V diag(w) V^T and P = L^{-T} V, the metric is
     A = P diag(w^t) P^T, where (P, w) is the ``GeodesicBasis`` of
     :func:`solve_basis`. The recorded residual is that of the midpoint
-    A_{1/2}, which is built once more only when ``cfg.t`` is not 1/2.
+    A_{1/2}, which is built in the same stacked product as A_t when
+    ``cfg.t`` is not 1/2.
     ``standardizer``, the z-score of the points behind ``sc``, if any, is
     attached to the metric.
     """
     basis, s_used, d_used = solve_basis(sc, cfg)
-    a = basis.matrix(cfg.t)
-    midpoint = a if cfg.t == 0.5 else basis.matrix(0.5)
+    built = basis.matrices((cfg.t,) if cfg.t == 0.5 else (cfg.t, 0.5))
     return LearnedMetric(
-        matrix=a,
+        matrix=built[0],
         config=cfg,
         provenance=MetricProvenance(
             sim_count=sc.sim_count,
             dis_count=sc.dis_count,
-            riccati_residual=riccati_residual(midpoint, s_used, d_used),
+            riccati_residual=riccati_residual(built[-1], s_used, d_used),
             fingerprint=fingerprint,
         ),
         standardizer=standardizer,

@@ -96,14 +96,11 @@ def spd_mask(stack: np.ndarray) -> np.ndarray:
 
 
 def cholesky(a) -> np.ndarray:
-    """Lower-triangular L with L L^T = a, or for a (T, d, d) stack of
-    matrices the stack of their factors.
+    """Lower-triangular L with L L^T = a, for one square matrix a.
 
-    Raises NotPositiveDefinite when a pivot fails (a matrix is not SPD).
+    Raises NotPositiveDefinite when a pivot fails (a is not SPD).
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        a = as_square(a, "cholesky input")
+    a = as_square(a, "cholesky input")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

@@ -214,9 +214,11 @@ def cross_validate_t_oracle(
     disqualifies that t.
 
     Same contract as :func:`gmml.cross_validate_t`, which scores every t of
-    a fold from one factorization and classifies them together, except for
-    a metric the guard accepts but that has no Cholesky factor: there
-    ``cross_validate_t`` raises and the oracle disqualifies its t.
+    a fold from one factorization and classifies them together through
+    their geodesic factors, except for a metric the guard accepts but that
+    has no Cholesky factor: ``evaluate_split`` refuses it, so the oracle
+    disqualifies its t, while ``cross_validate_t`` never factors it and
+    scores it.
     """
     if constraint_count is None:
         constraint_count = default_constraint_count(max(train.num_classes, 2))

@@ -43,7 +43,7 @@ from gmml.evaluation import (
     holdout_split,
 )
 from gmml import spd
-from gmml.learn import GeodesicBasis, scatter_matrices, solve
+from gmml.learn import ScatterMatrices, scatter_matrices, solve, solve_basis
 from helpers import (
     cross_validate_t_oracle,
     holdout_split_oracle,
@@ -315,6 +315,8 @@ def test_knn_rejects_non_spd_metric():
         knn_predict(data, np.array([[1.0, 0.5], [0.0, 1.0]]), [0.0, 0.0], k=1)
     with pytest.raises(NotPositiveDefinite):
         evaluate_split(data, data, np.diag([1.0, -1.0]), k=1)
+    with pytest.raises(NotPositiveDefinite, match="^metric is not symmetric$"):
+        evaluate_split(data, data, np.array([[1.0, 0.5], [0.0, 1.0]]), k=1)
 
 
 @pytest.mark.filterwarnings("error")
@@ -349,16 +351,11 @@ def _problem(points, labels, metrics, queries, k, block_elements=evaluation._BLO
             np.asarray(queries, dtype=float), k, block_elements)
 
 
-@st.composite
-def knn_problems(draw):
-    """Small k-NN problems built to tie: integer grids (exact arithmetic) or
-    0.1-spaced grids, duplicated training points, queries on training
-    points, large offsets that make the Gram expansion cancel, k up to
-    n + 2, and stacks of 1 to 6 identity, ill-conditioned, near-singular or
-    random metrics. The memory cap is the classifier's own or at most
-    n max(d, queries) T, so that one chunk and one block stay reachable and
-    smaller caps split the stack into chunks and the queries into blocks."""
-    d = draw(st.integers(1, 4))
+def _tie_prone_points(draw, d):
+    """Training points and queries built to tie: integer grids (exact
+    arithmetic) or 0.1-spaced grids, duplicated training points, queries
+    on training points, and large offsets that make the Gram expansion
+    cancel."""
     n = draw(st.integers(1, 12))
     coord = st.integers(-3, 3)
     points = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
@@ -375,8 +372,25 @@ def knn_problems(draw):
     queries = np.array(queries, dtype=float)
     scale = draw(st.sampled_from([1.0, 0.1]))
     offset = draw(st.sampled_from([0.0, 2.0**20, 2.0**26]))
-    points, queries = points * scale + offset, queries * scale + offset
+    return points * scale + offset, queries * scale + offset
 
+
+def _block_elements(draw, n, d, q, t):
+    """The classifier's own memory cap, or at most n max(d, q) t, so that
+    one chunk and one block stay reachable and smaller caps split the
+    stack into chunks and the queries into blocks."""
+    return draw(st.one_of(st.just(evaluation._BLOCK_ELEMENTS),
+                          st.integers(1, n * max(d, q) * t)))
+
+
+@st.composite
+def knn_problems(draw):
+    """Small tie-prone k-NN problems (``_tie_prone_points``), k up to
+    n + 2, and stacks of 1 to 6 identity, ill-conditioned, near-singular or
+    random metrics, under a memory cap from ``_block_elements``."""
+    d = draw(st.integers(1, 4))
+    points, queries = _tie_prone_points(draw, d)
+    n = len(points)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     metrics = []
     for _ in range(draw(st.integers(1, 6))):
@@ -392,9 +406,7 @@ def knn_problems(draw):
             m = rng.standard_normal((d, d))
             metrics.append(m @ m.T + 0.1 * np.eye(d))
     labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    n_metrics = len(metrics)
-    block_elements = draw(st.one_of(st.just(evaluation._BLOCK_ELEMENTS),
-                                    st.integers(1, n * max(d, len(queries)) * n_metrics)))
+    block_elements = _block_elements(draw, n, d, len(queries), len(metrics))
     return _problem(points, labels, metrics, queries, draw(st.integers(1, n + 2)),
                     block_elements)
 
@@ -435,7 +447,7 @@ def test_batched_knn_matches_scalar_vote(problem):
     with (mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block_elements),
           warnings.catch_warnings(record=True) as caught):
         warnings.simplefilter("always")
-        got = _knn_labels(points, labels, metrics, queries, k)
+        got = _knn_labels(points, labels, metrics, np.linalg.cholesky(metrics), queries, k)
     assert (k > len(points)) == any(issubclass(w.category, UserWarning) for w in caught)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -444,14 +456,46 @@ def test_batched_knn_matches_scalar_vote(problem):
     assert got.tolist() == expected
 
 
-def test_knn_stack_with_a_middle_metric_without_cholesky_factor_raises():
-    points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
-    with pytest.raises(NotPositiveDefinite, match="Cholesky"):
-        _knn_labels(points, np.array([0, 1, 0]), stack, points, 1)
-    stack[1] = [[1.0, 0.5], [0.0, 1.0]]
-    with pytest.raises(NotPositiveDefinite, match="symmetric"):
-        _knn_labels(points, np.array([0, 1, 0]), stack, points, 1)
+GEODESIC_TS = (0.01, 0.5, 0.99)
+
+
+@st.composite
+def geodesic_knn_problems(draw):
+    """Tie-prone points and queries (``_tie_prone_points``), k up to n + 2,
+    and the geodesic basis ``solve_basis`` factors from a scatter pair:
+    S has condition number at most 100, and D = P diag(w) P^T with
+    P = L^{-T} V (S = L L^T, V orthogonal), so that the whitened spectrum
+    w spans 2e8 to 1e9 at a random scale."""
+    d = draw(st.integers(2, 4))
+    points, queries = _tie_prone_points(draw, d)
+    n = len(points)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    s = (q * 10.0 ** rng.uniform(-1.0, 1.0, d)) @ q.T
+    v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    p = np.linalg.inv(np.linalg.cholesky(spd.symmetrize(s))).T @ v
+    w = np.geomspace(1.0, draw(st.sampled_from([2e8, 1e9])), d) * 10.0 ** rng.uniform(-3, 3)
+    basis = solve_basis(ScatterMatrices(s_mat=s, d_mat=(p * w) @ p.T, sim_count=0, dis_count=0))[0]
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    block_elements = _block_elements(draw, n, d, len(queries), len(GEODESIC_TS))
+    return points, labels, basis, queries, draw(st.integers(1, n + 2)), block_elements
+
+
+@settings(max_examples=300, deadline=None)
+@given(geodesic_knn_problems())
+def test_knn_under_geodesic_factors_matches_scalar_vote(problem):
+    # cross-validation classifies through F_t = P diag(w^{t/2}), whose
+    # product only rounds to A_t, here with w spread over 8 to 9 decades
+    points, labels, basis, queries, k, block_elements = problem
+    assert basis.w[-1] >= 1e8 * basis.w[0]
+    metrics = basis.matrices(GEODESIC_TS)
+    with (mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block_elements),
+          warnings.catch_warnings()):
+        warnings.simplefilter("ignore")
+        got = _knn_labels(points, labels, metrics, basis.factors(GEODESIC_TS), queries, k)
+        expected = [[_vote(_distances_to_all(a, points, q), labels, k) for q in queries]
+                    for a in metrics]
+    assert got.tolist() == expected
 
 
 @st.composite
@@ -911,14 +955,26 @@ def test_cv_samples_scatters_and_solves_once_per_fold(monkeypatch):
     assert calls == {"sample_constraints": 5, "scatter_matrices": 5, "solve_basis": 5}
 
 
+def test_cv_factors_each_fold_once(monkeypatch):
+    # the one Cholesky of a fold is its S's, in solve_basis: every A_t is
+    # classified through its geodesic factor, with no factorization of its own
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(np.shape(a)) or cholesky(a))
+    data = make_anisotropic(np.random.default_rng(16), n_per_class=20)
+    result = cross_validate_t(data, CvPolicy(cv_folds=5), GmmlConfig(), k=3, seed=0)
+    assert any(s.stage == "fine" for s in result.scores)
+    assert factored == [(data.n_features, data.n_features)] * 5
+
+
 def test_cv_classifies_each_stage_in_one_knn_call_per_fold(monkeypatch):
     stacks = []
     checks = Counter()
     knn_labels, check_spd = evaluation._knn_labels, spd.check_spd
 
-    def counting_knn(train_pts, train_labels, a, queries, k):
+    def counting_knn(train_pts, train_labels, a, factors, queries, k):
         stacks.append(a.shape[0])
-        return knn_labels(train_pts, train_labels, a, queries, k)
+        return knn_labels(train_pts, train_labels, a, factors, queries, k)
 
     def counting_check(a, name="matrix"):
         checks[name] += 1
@@ -942,42 +998,6 @@ def test_cv_classifies_each_stage_in_one_knn_call_per_fold(monkeypatch):
     assert not checks
 
 
-def test_cv_raises_a_cholesky_failure_from_its_fold_without_retry(monkeypatch):
-    # A_0.5 on fold 1 and A_0.3 on fold 2 pass the eigenvalue guard but get
-    # no Cholesky factor. The folds are classified in order, so fold 1's
-    # stacked factorization raises, and no fold is classified after it.
-    poison = {(0.3, 2): None, (0.5, 1): None}
-    calls = Counter()
-    factored = []
-    matrix, cholesky = GeodesicBasis.matrix, np.linalg.cholesky
-
-    def poisoned_matrix(self, t):
-        a = matrix(self, t)
-        # one call per fold and t, in fold order
-        if (t, calls[t]) in poison:
-            poison[t, calls[t]] = a.tobytes()
-        calls[t] += 1
-        return a
-
-    def failing_cholesky(a):
-        factored.append(np.shape(a))
-        for m in np.reshape(a, (-1,) + np.shape(a)[-2:]):
-            for (t, fold), raw in poison.items():
-                if m.tobytes() == raw:
-                    raise np.linalg.LinAlgError(f"poisoned A_{t} of fold {fold}")
-        return cholesky(a)
-
-    monkeypatch.setattr(GeodesicBasis, "matrix", poisoned_matrix)
-    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
-    problem = (make_anisotropic(np.random.default_rng(3), n_per_class=15),
-               CvPolicy(fine_count=3, cv_folds=3), GmmlConfig(), 3, 0, None, False)
-    got, _ = _cv_outcome(cross_validate_t, problem)
-    assert got == (NotPositiveDefinite, "Cholesky factorization failed: poisoned A_0.5 of fold 1")
-    # after the fold fits, one stacked factorization per classified fold:
-    # fold 0's, then fold 1's, which raises and is not retried matrix by matrix
-    assert [shape[0] for shape in factored if len(shape) == 3] == [5, 5]
-
-
 def test_cv_raises_a_later_folds_fitting_error_before_any_classification(monkeypatch):
     # every fold is fitted before any is classified, so fold 1's sampling
     # error raises before fold 0's stack is classified
@@ -991,9 +1011,9 @@ def test_cv_raises_a_later_folds_fitting_error_before_any_classification(monkeyp
             raise ValueError("fold 1 cannot sample its pairs")
         return sample(data, count, seed)
 
-    def counting_knn(train_pts, train_labels, a, queries, k):
+    def counting_knn(train_pts, train_labels, a, factors, queries, k):
         stacks.append(a.shape[0])
-        return knn_labels(train_pts, train_labels, a, queries, k)
+        return knn_labels(train_pts, train_labels, a, factors, queries, k)
 
     monkeypatch.setattr(evaluation, "sample_constraints", failing_sample)
     monkeypatch.setattr(evaluation, "_knn_labels", counting_knn)
