@@ -139,7 +139,8 @@ def _resolve(t_value, lam, prior, standardize, cv):
             raise ValueError(f"prior {prior} was learned with --standardize; "
                              "add --standardize to use it")
         prior_matrix = saved.matrix
-    cfg = GmmlConfig(t=t, lam=lam, prior=prior_matrix)
+    # load_metric has run check_spd on the prior; the config does not repeat it
+    cfg = GmmlConfig(t=t, lam=lam, prior=prior_matrix, _prior_checked=True)
     policy = CvPolicy(**cv)
     return cfg, policy if t_value == "cv" else None
 

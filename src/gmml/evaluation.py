@@ -27,7 +27,7 @@ from .learn import (
     solve,
     solve_basis,
 )
-from .spd import as_square, cholesky, spd_mask
+from .spd import _EPS, as_square, cholesky, spd_mask
 
 DEFAULT_K = 5
 DEFAULT_COARSE_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -245,7 +245,6 @@ _BLOCK_ELEMENTS = 2**14
 # recomputed distance bit-identical to the one _distances_to_all gives on all
 # of train (tests/test_evaluation.py has an exact tie that this decides).
 _MIN_CANDIDATES = 3
-_EPS = np.finfo(float).eps
 
 
 def _one_hot(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,7 +488,7 @@ def fit_metric(
     if policy is not None:
         cv_seed = seed if cv_seed is None else cv_seed
         cv = cross_validate_t(train, policy, cfg, k, cv_seed, count, standardize)
-        cfg = replace(cfg, t=cv.chosen_t)
+        cfg = replace(cfg, t=cv.chosen_t, _prior_checked=True)
     standardizer = Standardizer.of(train.points) if standardize else None
     points = train.points if standardizer is None else standardizer.apply(train.points)
     pairs = sample_constraints(train, count, seed)
@@ -615,8 +614,10 @@ def cross_validate_t(
 
     Step one scores the coarse grid; step two scores a fine window around
     the coarse winner. Per fold, a stage's A_t are built in one stacked
-    product (``GeodesicBasis.matrices``) and checked by one stacked SPD
-    guard (``spd_mask``, the guard of a learned metric). The accepted ones
+    product (``GeodesicBasis.matrices``) and checked against the guard of
+    a learned metric: their factors' bounds (``GeodesicBasis.proves_spd``)
+    prove most stages accepted, and a stage with any t they leave unproved
+    runs the stacked guard (``spd_mask``) on all its A_t. The accepted ones
     are classified by one ``_knn_labels`` call through their geodesic
     factors F_t = P diag(w^{t/2}), so nothing is factored after the folds'
     own fits. A t whose A_t the guard rejects on any fold is disqualified;
@@ -656,7 +657,9 @@ def cross_validate_t(
         errors = np.zeros((len(ts), n_folds))
         for f, (train_labels, train_pts, val_labels, val_pts, basis) in enumerate(fits):
             stack = basis.matrices(ts)
-            passed = spd_mask(stack)
+            passed = basis.proves_spd(ts)
+            if not passed.all():
+                passed = spd_mask(stack)
             rejected[:, f] = ~passed
             if passed.any():
                 factors = basis.factors(np.compress(passed, ts))

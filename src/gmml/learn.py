@@ -13,12 +13,12 @@ as a built-in self check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import spd
-from .exceptions import DimensionMismatch, NotPositiveDefinite, SingularScatter
+from .exceptions import ConvergenceError, DimensionMismatch, NotPositiveDefinite, SingularScatter
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,15 @@ class GmmlConfig:
     t: float = 0.5
     lam: float = 0.0
     prior: np.ndarray | None = None
+    # set by a caller whose prior has passed check_spd already
+    _prior_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _prior_checked):
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"t must be in [0, 1], got {self.t}")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.prior is not None:
+        if self.prior is not None and not _prior_checked:
             object.__setattr__(self, "prior", spd.check_spd(self.prior, "prior"))
 
     def prior_for_dim(self, dim: int) -> np.ndarray:
@@ -143,21 +145,57 @@ class GeodesicBasis:
     L^T D L = V diag(w) V^T, ``p`` is P = L^{-T} V and ``w`` holds the
     eigenvalues, ascending. Every point of the geodesic is then
     A_t = P diag(w^t) P^T, and F_t = P diag(w^{t/2}) factors it as
-    A_t = F_t F_t^T, so one factorization serves every t.
+    A_t = F_t F_t^T, so one factorization serves every t. ``s_trace`` is
+    tr(S), which with P and w bounds the eigenvalues of S, D and every A_t
+    (``proves_scatters``, ``proves_spd``).
     """
 
     p: np.ndarray
     w: np.ndarray
+    s_trace: float
+    # the squared column norms ||p_j||^2: tr(A_t) = sum_j w_j^t ||p_j||^2
+    col_sq: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "col_sq", np.einsum("ij,ij->j", self.p, self.p))
+
+    def _powers(self, ts) -> np.ndarray:
+        """The (T, d) stack of w^t, one row per t of ``ts``. Each w^t is
+        taken with a scalar exponent, as solve has always taken it: numpy's
+        power over an array of exponents runs another loop, which rounds
+        some values differently."""
+        return np.stack([self.w**t for t in ts])
 
     def matrices(self, ts) -> np.ndarray:
         """The (T, d, d) stack of A_t, one per t of ``ts``, from one stacked
         product, each slice symmetrized. A slice does not depend on the
         other ts: it is the metric :func:`solve` returns at its t, bit for
-        bit. Each w^t is taken with a scalar exponent, as solve has always
-        taken it: numpy's power over an array of exponents runs another
-        loop, which rounds some values differently."""
-        a = (self.p * np.stack([self.w**t for t in ts])[:, None, :]) @ self.p.T
+        bit."""
+        a = (self.p * self._powers(ts)[:, None, :]) @ self.p.T
         return (a + a.swapaxes(1, 2)) / 2
+
+    def proves_spd(self, ts) -> np.ndarray:
+        """Which A_t of ``matrices(ts)`` the SPD guard of a learned metric
+        provably accepts, by the bound rho min(w^t) / (tr(S) tr(A_t)) of
+        ``spd._guard_certified``, in O(T d): the tr(A_t) of every t come
+        from one product of the w^t with ``col_sq``. False means unproved,
+        not rejected."""
+        powers = self._powers(ts)
+        d = self.w.size
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rho = 1.0 - d * spd._EPS * np.sqrt(self.s_trace * self.col_sq.sum())
+            bound = rho * powers.min(axis=1) / (self.s_trace * (powers @ self.col_sq))
+        return spd._guard_certified(bound, d)
+
+    def proves_scatters(self, d_mat: np.ndarray) -> np.ndarray:
+        """Whether the singular-scatter guard provably accepts S and D =
+        ``d_mat``, the pair this basis factors, by the bounds
+        1 / (tr(S) ||P||_F^2) and w[0] / (tr(S) ||D||_F) of
+        ``spd._guard_certified``, in O(d^2)."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            bounds = np.array([1.0 / (self.s_trace * self.col_sq.sum()),
+                               self.w[0] / (self.s_trace * np.linalg.norm(d_mat))])
+        return spd._guard_certified(bounds, self.w.size)
 
     def factors(self, ts) -> np.ndarray:
         """The (T, d, d) stack of F_t = P diag(w^{t/2}), one per t of
@@ -200,9 +238,12 @@ class LearnedMetric:
     config: GmmlConfig
     provenance: MetricProvenance
     standardizer: Standardizer | None = None
+    # set by solve when its factors prove that check_spd accepts ``matrix``
+    _spd_proved: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", spd.check_spd(self.matrix, "learned metric"))
+    def __post_init__(self, _spd_proved):
+        if not _spd_proved:
+            object.__setattr__(self, "matrix", spd.check_spd(self.matrix, "learned metric"))
 
     @property
     def dim(self) -> int:
@@ -276,6 +317,37 @@ def riccati_residual(a: np.ndarray, s: np.ndarray, d: np.ndarray) -> float:
     return float(np.linalg.norm(a @ s @ a - d) / denom)
 
 
+def _scatter_guard(sc: ScatterMatrices, proved=(False, False)) -> None:
+    """The singular-scatter guard of a ``lam = 0`` solve: the relative
+    eigenvalue guard on S, then on D, each skipped where ``proved`` says
+    the solve's factors already prove that it passes. SingularScatter
+    names the first scatter that fails."""
+    for which, m, skip in zip(("similarity", "dissimilarity"), (sc.s_mat, sc.d_mat), proved):
+        if skip:
+            continue
+        w = spd._sym_eigvals(m)
+        if not spd._relative_guard(w):
+            ratio = w[0] / w[-1] if w[-1] > 0 else w[0]
+            raise SingularScatter(which, f"relative min eigenvalue {ratio:.3e}")
+
+
+def _factor_pair(s_used: np.ndarray, d_used: np.ndarray, lam: float) -> GeodesicBasis:
+    """The ``GeodesicBasis`` of the pair (S, D) = (``s_used``, ``d_used``):
+    one Cholesky S = L L^T and one eigendecomposition of L^T D L."""
+    whitened = None
+    if np.isfinite(s_used).all() and np.isfinite(d_used).all():
+        low = spd.cholesky(s_used)
+        with np.errstate(over="ignore", invalid="ignore"):
+            whitened = spd.symmetrize(low.T @ d_used @ low)
+    if whitened is None or not np.isfinite(whitened).all():
+        hint = (f" with lambda {lam!r}; use a smaller lambda or rescale the features"
+                if lam > 0 else "; rescale the features, for example with --standardize")
+        raise NotPositiveDefinite(f"the whitened dissimilarity scatter overflows float64{hint}")
+    w, v = spd.sym_eigen(whitened)
+    spd._require_whitened_pd(w, "dissimilarity scatter")
+    return GeodesicBasis(p=spd._back_solve(low, v), w=w, s_trace=float(np.trace(s_used)))
+
+
 def solve_basis(
     sc: ScatterMatrices, cfg: GmmlConfig = GmmlConfig()
 ) -> tuple[GeodesicBasis, np.ndarray, np.ndarray]:
@@ -283,15 +355,19 @@ def solve_basis(
     its ``GeodesicBasis`` and the S and D it factored (prior-blended when
     ``cfg.lam > 0``). Raises every error of :func:`solve` except the check
     of the metric at ``cfg.t``.
+
+    At ``lam = 0`` the pair is factored first, and the singular-scatter
+    guard's ``eigvalsh`` runs on S, then on D, only where the factors'
+    own bound (``GeodesicBasis.proves_scatters``) cannot prove that it
+    passes. When the factoring fails (a failed Cholesky, an overflow, a
+    non-convergent ``eigh``, a non-positive whitened eigenvalue or a
+    non-finite back substitution), both guards run in that order before
+    the error is re-raised, so a singular scatter is still named by
+    SingularScatter, as when the guard ran first.
     """
     if cfg.prior is not None:
         cfg.prior_for_dim(sc.dim)  # a prior of the wrong size fails whatever lam is
     if cfg.lam == 0.0:
-        for which, m in (("similarity", sc.s_mat), ("dissimilarity", sc.d_mat)):
-            w = spd._sym_eigvals(m)
-            if not spd._relative_guard(w):
-                ratio = w[0] / w[-1] if w[-1] > 0 else w[0]
-                raise SingularScatter(which, f"relative min eigenvalue {ratio:.3e}")
         s_used, d_used = sc.s_mat, sc.d_mat
     else:
         a0 = cfg.prior_for_dim(sc.dim)
@@ -300,18 +376,15 @@ def solve_basis(
         with np.errstate(over="ignore"):
             s_used = sc.s_mat + cfg.lam * a0_inv
             d_used = sc.d_mat + cfg.lam * a0
-    whitened = None
-    if np.isfinite(s_used).all() and np.isfinite(d_used).all():
-        low = spd.cholesky(s_used)
-        with np.errstate(over="ignore", invalid="ignore"):
-            whitened = spd.symmetrize(low.T @ d_used @ low)
-    if whitened is None or not np.isfinite(whitened).all():
-        hint = (f" with lambda {cfg.lam!r}; use a smaller lambda or rescale the features"
-                if cfg.lam > 0 else "; rescale the features, for example with --standardize")
-        raise NotPositiveDefinite(f"the whitened dissimilarity scatter overflows float64{hint}")
-    w, v = spd.sym_eigen(whitened)
-    spd._require_whitened_pd(w, "dissimilarity scatter")
-    return GeodesicBasis(p=spd._back_solve(low, v), w=w), s_used, d_used
+    try:
+        basis = _factor_pair(s_used, d_used, cfg.lam)
+    except (NotPositiveDefinite, ConvergenceError, ValueError):
+        if cfg.lam == 0.0:
+            _scatter_guard(sc)
+        raise
+    if cfg.lam == 0.0:
+        _scatter_guard(sc, basis.proves_scatters(d_used))
+    return basis, s_used, d_used
 
 
 def solve(
@@ -335,7 +408,8 @@ def solve(
     A = P diag(w^t) P^T, where (P, w) is the ``GeodesicBasis`` of
     :func:`solve_basis`. The recorded residual is that of the midpoint
     A_{1/2}, which is built in the same stacked product as A_t when
-    ``cfg.t`` is not 1/2.
+    ``cfg.t`` is not 1/2. The metric's SPD check runs its ``eigvalsh``
+    only where the basis cannot prove the outcome (``proves_spd``).
     ``standardizer``, the z-score of the points behind ``sc``, if any, is
     attached to the metric.
     """
@@ -351,4 +425,5 @@ def solve(
             fingerprint=fingerprint,
         ),
         standardizer=standardizer,
+        _spd_proved=bool(basis.proves_spd((cfg.t,))[0]),
     )

@@ -21,6 +21,7 @@ from .exceptions import ConvergenceError, DimensionMismatch, NotPositiveDefinite
 # Relative positive-definiteness guard: min eigenvalue must exceed
 # SPD_TOLERANCE times the max eigenvalue.
 SPD_TOLERANCE = 1e-12
+_EPS = np.finfo(float).eps
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:
@@ -64,6 +65,9 @@ def check_spd(a, name: str = "matrix") -> np.ndarray:
 
     Symmetry must hold exactly (construct inputs with :func:`symmetrize`);
     positive definiteness is checked through the relative eigenvalue guard.
+    ``solve`` skips this check for a metric whose own factors prove its
+    outcome (:func:`_guard_certified`); a loaded metric file and a prior,
+    which carry no factors, always run it.
     """
     a = as_square(a, name)
     if not np.array_equal(a, a.T):
@@ -82,10 +86,66 @@ def _relative_guard(w: np.ndarray) -> np.ndarray:
     return (w[..., -1] > 0) & (w[..., 0] > SPD_TOLERANCE * w[..., -1])
 
 
+def _guard_certified(bound, d: int):
+    """Whether ``bound``, a lower bound on a d x d matrix's relative min
+    eigenvalue taken from the factors of a solve (``GeodesicBasis``),
+    proves that :func:`_relative_guard` accepts the eigenvalues
+    ``eigvalsh`` would compute for it: True where
+
+        bound > SPD_TOLERANCE + 3 mu,  mu = 2 (d + 1)^2 eps.
+
+    NaN reads as not certified. The margin, to first order in eps, as
+    ``_knn_labels`` derives its delta. Model: LAPACK bounds the backward
+    error of its symmetric eigensolvers by p(d) eps ||X||_2, and the
+    departure of ``eigh``'s eigenvectors from orthonormality likewise,
+    with p "a modestly growing function"; take eta = d^2 eps, the order of
+    a worst-case Householder reduction. A sum of n terms rounds by at most
+    n eps/2 of their magnitudes, so a Cholesky factor L L^T = S + E has
+    ||E||_2 <= (d + 1)/2 eps ||L||_F^2, and ||L||_F^2 = tr(S) + tr(E).
+
+    - The guard: the computed eigenvalues of X lie within eta ||X||_2 of
+      the exact ones (Weyl), so it accepts X when
+      lambda_min(X) > g lambda_max(X), g = SPD_TOLERANCE + eta (1 + SPD_TOLERANCE).
+    - S (``solve_basis``): column j of P = L^{-T} V solves
+      (L^T + F_j) p_j = v_j with ||F_j||_2 <= d/2 eps ||L||_F, so
+      ||p_j||^2 >= v_j^T (S + delta I)^{-1} v_j, delta = (3d + 1)/2 eps
+      ||L||_F^2, and with V V^T >= (1 - eta) I,
+      lambda_min(S) >= (1 - eta) / ||P||_F^2 - delta; lambda_max(S) <= tr(S)
+      once S is PD. Bound: 1 / (tr(S) ||P||_F^2).
+    - D: the whitened L^T D L is formed within (d + 1/2) eps
+      ||L||_F^2 ||D||_F and ``eigh`` finds its least eigenvalue w[0] within
+      eta of that scale, so lambda_min(L^T D L) >= w[0] - (eta + (d + 1/2)
+      eps) ||L||_F^2 ||D||_F; when positive, D is PD and lambda_min(D) is at
+      least that over lambda_max(L L^T) <= ||L||_F^2. lambda_max(D) <=
+      ||D||_F for any symmetric D (tr(D) only for a PSD one). Bound:
+      w[0] / (tr(S) ||D||_F).
+    - A_t: the checked matrix, built exactly symmetric, is M + E_t,
+      M = P diag(w^t) P^T for the computed w^t, ||E_t||_2 <= (d + 2)/2 eps
+      tr(M) (as in ``_knn_labels``), and M is PSD, so
+      lambda_max(M + E_t) <= (1 + (d + 2)/2 eps) tr(M). L^T P = V - [F_j p_j]
+      with ||[F_j p_j]||_2 <= d/2 eps ||L||_F ||P||_F, so sigma_min(P)^2 >=
+      (1 - eta) rho / ||L||_F^2, rho = 1 - d eps sqrt(tr(S) ||P||_F^2), and
+      lambda_min(M) >= min(w^t) sigma_min(P)^2. Bound: rho min(w^t) /
+      (tr(S) tr(M)).
+
+    Each bound is computed from sums of non-negative terms (traces, squared
+    norms, sum_j w_j^t ||p_j||^2), within (d^2/4 + d + 1) eps of its value.
+    Gathered, each case needs beta (1 - r) > SPD_TOLERANCE (1 + r) + a for
+    its computed bound beta, with a relative error r <= (d^2 + 2d) eps and
+    an additive one a <= (2 d^2 + d + 1) eps (D's two eigensolvers), both
+    within mu; beta > SPD_TOLERANCE + 3 mu implies it when mu <= 1/2, and
+    no bound exceeds 1 when mu is larger.
+    """
+    mu = 2.0 * (d + 1) ** 2 * _EPS
+    return bound > SPD_TOLERANCE + 3.0 * mu
+
+
 def spd_mask(stack: np.ndarray) -> np.ndarray:
     """Which matrices of a (T, d, d) stack :func:`check_spd` accepts, from
     one stacked ``eigvalsh``: the same exact-symmetry test and relative
     guard. A stack the eigensolver fails on reads as all rejected.
+    ``cross_validate_t`` runs it only on a stage whose factors leave some
+    matrix unproved (``GeodesicBasis.proves_spd``).
     """
     symmetric = (stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
     try:

@@ -1,6 +1,7 @@
 """Shared test fixtures: random SPD factories, synthetic datasets, the
 arithmetic-harmonic-mean oracle used to cross-check geodesic midpoints, the
 inverse-then-geodesic route used to cross-check ``solve``, the
+eigvalsh-only guards used to cross-check the solver's certificates, the
 token-by-token dataset loader used to cross-check ``load_dataset``, the
 entry-by-entry row writer used to cross-check ``save_metric``, the
 per-candidate loop used to cross-check ``cross_validate_t``, and the
@@ -9,8 +10,10 @@ cursor deal and per-class cut used to cross-check ``stratified_folds`` and
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from gmml import (
     spd_inverse,
     symmetrize,
 )
+from gmml import spd
 from gmml.evaluation import (
     CvResult,
     TScore,
@@ -42,7 +46,7 @@ from gmml.evaluation import (
     stratified_folds,
 )
 from gmml.io import _encode_labels
-from gmml.learn import solve_basis
+from gmml.learn import _factor_pair, riccati_residual, solve_basis
 
 
 def rand_spd(rng: np.random.Generator, d: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
@@ -95,6 +99,46 @@ def solve_oracle(sc: ScatterMatrices, cfg: GmmlConfig) -> np.ndarray:
         s_used = symmetrize(sc.s_mat + cfg.lam * spd_inverse(a0))
         d_used = symmetrize(sc.d_mat + cfg.lam * a0)
     return check_spd(geodesic(spd_inverse(s_used), d_used, cfg.t), "learned metric")
+
+
+def solve_guard_oracle(sc: ScatterMatrices, cfg: GmmlConfig) -> tuple[np.ndarray, float]:
+    """Reference solver with every eigvalsh guard run: at lam = 0 the
+    singular-scatter guard on S, then on D, before anything is factored,
+    then the factoring of ``solve_basis``, then ``check_spd`` on the
+    metric. Returns the metric and its midpoint residual.
+
+    Same contract as :func:`gmml.solve`, which runs a guard only where its
+    factors' bounds cannot prove the outcome.
+    """
+    if cfg.prior is not None:
+        cfg.prior_for_dim(sc.dim)
+    if cfg.lam == 0.0:
+        for which, m in (("similarity", sc.s_mat), ("dissimilarity", sc.d_mat)):
+            w = spd._sym_eigvals(m)
+            if not (w[-1] > 0 and w[0] > SPD_TOLERANCE * w[-1]):
+                ratio = w[0] / w[-1] if w[-1] > 0 else w[0]
+                raise SingularScatter(which, f"relative min eigenvalue {ratio:.3e}")
+        s_used, d_used = sc.s_mat, sc.d_mat
+    else:
+        a0 = cfg.prior_for_dim(sc.dim)
+        a0_inv = a0 if cfg.prior is None else spd_inverse(a0)
+        with np.errstate(over="ignore"):
+            s_used = sc.s_mat + cfg.lam * a0_inv
+            d_used = sc.d_mat + cfg.lam * a0
+    built = _factor_pair(s_used, d_used, cfg.lam).matrices((cfg.t, 0.5))
+    return check_spd(built[0], "learned metric"), riccati_residual(built[1], s_used, d_used)
+
+
+@contextmanager
+def guards_uncertified():
+    """Within the block, no bound certifies anything, so every guard runs
+    its eigvalsh: ``cross_validate_t`` checks each stage with ``spd_mask``
+    and ``solve`` each metric with ``check_spd``."""
+    def refuse(bound, d):
+        return np.zeros(np.shape(bound), dtype=bool)
+
+    with mock.patch.object(spd, "_guard_certified", refuse):
+        yield
 
 
 def make_blobs(

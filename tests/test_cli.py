@@ -176,6 +176,27 @@ def test_learn_prior_file_blends_the_saved_metric(runner, blobs_csv, tmp_path):
     np.testing.assert_array_equal(load_metric(out).matrix, expected)
 
 
+@pytest.mark.parametrize("argv", [
+    ["learn", "--lambda", "0.5"],
+    ["learn", "--lambda", "0.5", "--t", "cv"],
+    ["benchmark", "--lambda", "0.5", "--t", "cv", "--runs", "2"],
+], ids=["learn", "learn-cv", "benchmark-cv"])
+def test_a_prior_file_is_checked_once(runner, blobs_csv, tmp_path, monkeypatch, argv):
+    # load_metric's check_spd is the one eigvalsh of a --prior run: the
+    # config does not repeat it, nor does each fit at its cross-validated
+    # t, and every fit's own factors prove its metrics SPD
+    prior = tmp_path / "prior.gmml"
+    assert runner.invoke(main, ["learn", str(blobs_csv), "--out", str(prior)]).exit_code == 0
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+    command, *options = argv
+    result = runner.invoke(main, [command, str(blobs_csv), "--prior", str(prior), *options,
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, all_text(result)
+    assert calls == [(2, 2)]
+
+
 def test_learn_rejects_t_out_of_range_before_work(runner, blobs_csv, tmp_path):
     out = tmp_path / "m.gmml"
     result = runner.invoke(main, ["learn", str(blobs_csv), "--t", "1.5",

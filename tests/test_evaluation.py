@@ -46,6 +46,7 @@ from gmml import spd
 from gmml.learn import ScatterMatrices, scatter_matrices, solve, solve_basis
 from helpers import (
     cross_validate_t_oracle,
+    guards_uncertified,
     holdout_split_oracle,
     make_anisotropic,
     make_blobs,
@@ -941,6 +942,60 @@ def test_cv_with_every_t_disqualified_names_the_first_rejected():
             r"^every t candidate failed cross-validation: the learned metric at "
             r"t = 0\.9 is not positive definite on fold 2$")):
         cross_validate_t(data, policy, cfg, k, seed, count, standardize)
+
+
+def _cv_sweep_problem(rng, i):
+    """CV problem i of the certificate sweep: 8-20 points of d = 2-5, one
+    in three with features scaled by 1e-5 to 1e3 and one in three with
+    its last feature constant within each class (a singular similarity
+    scatter), lambda 0, 1e-13 or 1e-6 to 1, and a random coarse grid, fold
+    count, k and seed."""
+    d = int(rng.integers(2, 6))
+    n = int(rng.integers(8, 21))
+    labels = np.arange(n) % int(rng.integers(2, 4))
+    points = rng.standard_normal((n, d))
+    if i % 3 == 1:
+        points *= 10.0 ** rng.uniform(-5, 3, size=d)
+    elif i % 3 == 2:
+        points[:, -1] = labels
+    lam = (0.0, 1e-13, 10.0 ** rng.uniform(-6, 0))[i // 3 % 3]
+    grid = [(0.1, 0.3, 0.5, 0.7, 0.9), (0.9,), (0.05, 0.95), (0.01, 0.5, 0.99)][i % 4]
+    policy = CvPolicy(coarse_grid=grid, fine_count=int(rng.integers(1, 5)),
+                      cv_folds=int(rng.integers(2, 5)))
+    return _cv_problem(points, labels, 1.0, policy, lam, int(rng.integers(1, 4)),
+                       int(rng.integers(2**31)))
+
+
+def test_certified_cv_matches_the_eigvalsh_guard_oracle(monkeypatch):
+    # cross-validation whose stages the bounds certify gives the outcome of
+    # one whose every stage runs the stacked guard (the oracle): equal
+    # scores, chosen t and disqualified flags, the same first rejected
+    # (t, fold) handed to _pick_best, or the same exception
+    picks = []
+    pick_best = evaluation._pick_best
+    monkeypatch.setattr(evaluation, "_pick_best",
+                        lambda scored, first: picks.append(first) or pick_best(scored, first))
+    masks = []
+    spd_mask = evaluation.spd_mask
+    monkeypatch.setattr(evaluation, "spd_mask", lambda stack: masks.append(stack.shape[0]) or spd_mask(stack))
+    rng = np.random.default_rng(27)
+    data, policy, *rest = GUARD_FAILS_AT_09
+    every_t_fails = (data, dataclasses.replace(policy, coarse_grid=(0.9,)), *rest)
+    problems = [GUARD_FAILS_TWICE, GUARD_FAILS_AT_09, every_t_fails]
+    problems += [_cv_sweep_problem(rng, i) for i in range(150)]
+    guarded = rejected = 0
+    for problem in problems:
+        picks.clear()
+        masks.clear()
+        got = _cv_outcome(cross_validate_t, problem)[0], list(picks)
+        guarded += len(masks)
+        picks.clear()
+        with guards_uncertified():
+            expected = _cv_outcome(cross_validate_t, problem)[0], list(picks)
+        assert got == expected, problem
+        rejected += any(first is not None for first in got[1])
+    # some stages fall back to the guard, and some candidates are rejected
+    assert guarded > 20 and rejected > 10, (guarded, rejected)
 
 
 def test_cv_samples_scatters_and_solves_once_per_fold(monkeypatch):

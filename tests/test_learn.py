@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from gmml import (
     DimensionMismatch,
     GmmlConfig,
+    GmmlError,
     LabeledDataset,
     NotPositiveDefinite,
     PairConstraints,
@@ -21,7 +24,7 @@ from gmml import (
 )
 from gmml.learn import solve_basis
 from gmml.spd import is_spd, riemannian_distance, spd_inverse, symmetrize
-from helpers import ahm_mean, rand_spd, solve_oracle
+from helpers import ahm_mean, rand_spd, solve_guard_oracle, solve_oracle
 
 
 def rel_fro(x, y):
@@ -447,24 +450,103 @@ def test_solve_factors_ill_conditioned_pair_the_oracle_rejects():
     assert riccati_residual(metric.matrix, sc.s_mat, sc.d_mat) <= 1e-12
 
 
+def _counting(monkeypatch, names=("cholesky", "eigh", "eigvalsh")):
+    """The list every call of numpy.linalg's ``names`` appends its name to."""
+    calls = []
+    for name in names:
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
+    return calls
+
+
 def test_solve_factors_once(monkeypatch):
     # a whole fit, scatter build plus solve: one Cholesky of S and one
-    # eigendecomposition. Building the scatters runs no eigvalsh; the solve
-    # runs one for the SPD check of the result and, at lam = 0 only, one per
-    # scatter for the singular-scatter guard
+    # eigendecomposition, and no eigvalsh at lam = 0 or above: the factors'
+    # bounds prove that the singular-scatter guard and the metric's SPD
+    # check pass, so neither guard eigendecomposes
     rng = np.random.default_rng(22)
     pts = rng.standard_normal((12, 5))
     pairs = PairConstraints(sim_pairs=[[i, i + 1] for i in range(0, 12, 2)],
                             dis_pairs=[[i, i + 6] for i in range(6)])
-    calls = []
-    for name in ("cholesky", "eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
-    for lam, eigvalsh_calls in ((0.0, 3), (0.5, 1)):
+    calls = _counting(monkeypatch)
+    for lam in (0.0, 0.5):
         calls.clear()
         solve(scatter_matrices(pts, pairs), GmmlConfig(lam=lam))
-        assert sorted(calls) == ["cholesky", "eigh"] + ["eigvalsh"] * eigvalsh_calls, lam
+        assert sorted(calls) == ["cholesky", "eigh"], lam
+
+
+def test_solve_runs_the_guards_where_the_bounds_are_inconclusive(monkeypatch):
+    # lambda_min / lambda_max of S is 4e-12, which passes the 1e-12 guard,
+    # but the bound 1 / (tr(S) ||P||_F^2) reads 1e-12, below the margin; the
+    # D and metric bounds, loose by about cond(S), are inconclusive too. So
+    # all three guards run their eigvalsh, as they did before the
+    # certificates, and the solve gives the oracle's bits
+    sc = ScatterMatrices(s_mat=np.diag([4e-12, 1.0, 1.0, 1.0, 1.0]), d_mat=np.eye(5),
+                         sim_count=0, dis_count=0)
+    expected = solve_guard_oracle(sc, GmmlConfig())
+    calls = _counting(monkeypatch)
+    metric = solve(sc)
+    assert sorted(calls) == ["cholesky", "eigh", "eigvalsh", "eigvalsh", "eigvalsh"]
+    assert metric.matrix.tobytes() == expected[0].tobytes()
+    assert metric.provenance.riccati_residual == expected[1]
+
+
+def _sweep_pair(rng, i):
+    """Pair i of the certificate sweep: d = 2-7, two pairs in three with
+    features scaled by 1e-5 to 1e3, every fifth pair rank-deficient (S, or
+    D when i ends in 5), a random t, lam = 0 for even i and else
+    1e-12 to 10, with a random SPD prior for every fourth pair."""
+    d = int(rng.integers(2, 8))
+    n = int(rng.integers(d + 2, 3 * d + 6))
+    pts = rng.standard_normal((n, d))
+    if i % 3:
+        pts *= 10.0 ** rng.uniform(-5, 3, size=d)
+    counts = [3 * d, 3 * d]
+    if i % 5 == 0:
+        counts[i % 10 == 5] = int(rng.integers(1, d))
+
+    def pairs(m):
+        first = rng.integers(0, n, size=m)
+        return np.stack([first, (first + rng.integers(1, n, size=m)) % n], axis=1)
+
+    sc = scatter_matrices(pts, PairConstraints(pairs(counts[0]), pairs(counts[1])))
+    lam = 0.0 if i % 2 == 0 else 10.0 ** rng.uniform(-12, 1)
+    prior = rand_spd(rng, d, 0.1, 10.0) if i % 4 == 3 else None
+    return sc, GmmlConfig(t=float(rng.uniform()), lam=lam, prior=prior)
+
+
+def _solve_outcome(fn, sc, cfg):
+    try:
+        matrix, residual = fn(sc, cfg)
+    except GmmlError as exc:
+        return type(exc), str(exc)
+    return matrix.tobytes(), residual
+
+
+def _certified_solve(sc, cfg):
+    metric = solve(sc, cfg)
+    return metric.matrix, metric.provenance.riccati_residual
+
+
+def test_certified_solve_matches_the_eigvalsh_guard_oracle(monkeypatch):
+    # 600 seeded pairs: the metric's bits and residual, or the exception's
+    # class and message, equal those of the solver that always runs its
+    # guards. The sweep reaches every path: solves the bounds certify,
+    # solves that fall back to a guard, singular scatters (most found by a
+    # failed factorization) and refused metrics
+    rng = np.random.default_rng(27)
+    calls = _counting(monkeypatch, ("eigvalsh",))
+    kinds = Counter()
+    for i in range(600):
+        sc, cfg = _sweep_pair(rng, i)
+        calls.clear()
+        got = _solve_outcome(_certified_solve, sc, cfg)
+        guarded = bool(calls)
+        assert got == _solve_outcome(solve_guard_oracle, sc, cfg), (i, cfg)
+        kinds[got[0] if isinstance(got[0], type) else ("solved", guarded)] += 1
+    assert kinds[("solved", False)] > 200 and kinds[("solved", True)] > 50, kinds
+    assert kinds[SingularScatter] > 50 and kinds[NotPositiveDefinite] > 50, kinds
 
 
 def test_solve_identity_prior_factors_once(monkeypatch):

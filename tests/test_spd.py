@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from gmml import DimensionMismatch, NotPositiveDefinite
 from gmml.spd import (
     SPD_TOLERANCE,
+    _guard_certified,
     check_spd,
     cholesky,
     geodesic,
@@ -325,6 +326,15 @@ def test_spd_mask_rejects_a_stack_the_eigensolver_fails_on(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
     mask = spd_mask(np.stack([np.eye(2), 2.0 * np.eye(2)]))
     assert mask.dtype == bool and mask.tolist() == [False, False]
+
+
+def test_a_certificate_clears_the_guard_by_its_rounding_margin():
+    # at d = 512 the margin 6 (d + 1)^2 eps is 3.5e-10: a bound that clears
+    # SPD_TOLERANCE by less proves nothing, and neither does NaN
+    assert not _guard_certified(3e-10, 512)
+    assert _guard_certified(4e-10, 512)
+    bounds = np.array([np.nan, SPD_TOLERANCE, 1.1e-12, 1e-3])
+    assert _guard_certified(bounds, 2).tolist() == [False, False, True, True]
 
 
 def test_spd_inverse_matches_numpy():
