@@ -27,7 +27,7 @@ from .learn import (
     solve,
     solve_basis,
 )
-from .spd import _EPS, as_square, cholesky, spd_mask
+from .spd import _EPS, as_square, cholesky
 
 DEFAULT_K = 5
 DEFAULT_COARSE_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -56,7 +56,8 @@ class SplitPlan:
 class CvPolicy:
     """Two-step grid over t: a coarse pass, then a fine window around the
     coarse winner (fine_count values spaced fine_spacing apart, clamped to
-    (0.01, 0.99))."""
+    (0.01, 0.99)). A value repeated in the coarse grid is kept once, at its
+    first place."""
 
     coarse_grid: tuple[float, ...] = DEFAULT_COARSE_GRID
     fine_count: int = 12
@@ -64,7 +65,8 @@ class CvPolicy:
     cv_folds: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "coarse_grid", tuple(float(t) for t in self.coarse_grid))
+        object.__setattr__(self, "coarse_grid",
+                           tuple(dict.fromkeys(float(t) for t in self.coarse_grid)))
         if not self.coarse_grid:
             raise ValueError("coarse_grid must not be empty")
         if any(not 0.0 < t < 1.0 for t in self.coarse_grid):
@@ -613,14 +615,12 @@ def cross_validate_t(
     ``fit_metric`` does.
 
     Step one scores the coarse grid; step two scores a fine window around
-    the coarse winner. Per fold, a stage's A_t are built in one stacked
-    product (``GeodesicBasis.matrices``) and checked against the guard of
-    a learned metric: their factors' bounds (``GeodesicBasis.proves_spd``)
-    prove most stages accepted, and a stage with any t they leave unproved
-    runs the stacked guard (``spd_mask``) on all its A_t. The accepted ones
-    are classified by one ``_knn_labels`` call through their geodesic
-    factors F_t = P diag(w^{t/2}), so nothing is factored after the folds'
-    own fits. A t whose A_t the guard rejects on any fold is disqualified;
+    the coarse winner. Per fold, one ``GeodesicBasis.stage`` call builds a
+    stage's A_t and decides which of them the guard of a learned metric
+    accepts, as it does for :func:`solve`. The accepted ones are classified
+    by one ``_knn_labels`` call through their geodesic factors
+    F_t = P diag(w^{t/2}), so nothing is factored after the folds' own
+    fits. A t whose A_t the guard rejects on any fold is disqualified;
     every other t scores its mean validation error over the folds. The
     overall argmin wins, with ties broken toward the t nearest 0.5. With
     every t disqualified, NotPositiveDefinite names the first rejected
@@ -653,19 +653,15 @@ def cross_validate_t(
     def score(ts: tuple[float, ...], stage: str):
         """The scores of every t of a stage, and its first (t, fold), in
         order of t, whose metric the guard rejects (None if there is none)."""
-        rejected = np.zeros((len(ts), n_folds), dtype=bool)
-        errors = np.zeros((len(ts), n_folds))
+        errors = np.full((len(ts), n_folds), np.nan)  # NaN: the guard rejected A_t
         for f, (train_labels, train_pts, val_labels, val_pts, basis) in enumerate(fits):
-            stack = basis.matrices(ts)
-            passed = basis.proves_spd(ts)
-            if not passed.all():
-                passed = spd_mask(stack)
-            rejected[:, f] = ~passed
-            if passed.any():
-                factors = basis.factors(np.compress(passed, ts))
-                predicted = _knn_labels(train_pts, train_labels, stack[passed], factors, val_pts, k)
+            stack, accepted = basis.stage(ts)
+            if accepted.any():
+                factors = basis.factors(np.compress(accepted, ts))
+                predicted = _knn_labels(train_pts, train_labels, stack[accepted], factors, val_pts, k)
                 wrong = np.count_nonzero(predicted != val_labels, axis=1)
-                errors[passed, f] = wrong / val_labels.size
+                errors[accepted, f] = wrong / val_labels.size
+        rejected = np.isnan(errors)
         scores = [
             TScore(t=t, mean_error=None, stage=stage, disqualified=True) if failed.any()
             else TScore(t=t, mean_error=float(np.mean(row)), stage=stage)

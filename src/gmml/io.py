@@ -334,6 +334,8 @@ def load_metric(path) -> LearnedMetric:
 
     try:
         dim = int(fields["dim"])
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         t = float(fields["t"])
         lam = float(fields["lambda"])
         residual = float(fields["riccati_residual"])

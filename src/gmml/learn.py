@@ -145,9 +145,9 @@ class GeodesicBasis:
     L^T D L = V diag(w) V^T, ``p`` is P = L^{-T} V and ``w`` holds the
     eigenvalues, ascending. Every point of the geodesic is then
     A_t = P diag(w^t) P^T, and F_t = P diag(w^{t/2}) factors it as
-    A_t = F_t F_t^T, so one factorization serves every t. ``s_trace`` is
-    tr(S), which with P and w bounds the eigenvalues of S, D and every A_t
-    (``proves_scatters``, ``proves_spd``).
+    A_t = F_t F_t^T, so one factorization serves every t (``stage``,
+    ``factors``). ``s_trace`` is tr(S), which with P and w bounds the
+    eigenvalues of S, D and every A_t (``proves_scatters``, ``stage``).
     """
 
     p: np.ndarray
@@ -159,33 +159,24 @@ class GeodesicBasis:
     def __post_init__(self):
         object.__setattr__(self, "col_sq", np.einsum("ij,ij->j", self.p, self.p))
 
-    def _powers(self, ts) -> np.ndarray:
-        """The (T, d) stack of w^t, one row per t of ``ts``. Each w^t is
-        taken with a scalar exponent, as solve has always taken it: numpy's
-        power over an array of exponents runs another loop, which rounds
-        some values differently."""
-        return np.stack([self.w**t for t in ts])
-
-    def matrices(self, ts) -> np.ndarray:
-        """The (T, d, d) stack of A_t, one per t of ``ts``, from one stacked
-        product, each slice symmetrized. A slice does not depend on the
-        other ts: it is the metric :func:`solve` returns at its t, bit for
-        bit."""
-        a = (self.p * self._powers(ts)[:, None, :]) @ self.p.T
-        return (a + a.swapaxes(1, 2)) / 2
-
-    def proves_spd(self, ts) -> np.ndarray:
-        """Which A_t of ``matrices(ts)`` the SPD guard of a learned metric
-        provably accepts, by the bound rho min(w^t) / (tr(S) tr(A_t)) of
-        ``spd._guard_certified``, in O(T d): the tr(A_t) of every t come
-        from one product of the w^t with ``col_sq``. False means unproved,
-        not rejected."""
-        powers = self._powers(ts)
+    def stage(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The (T, d, d) stack of A_t, one per t of ``ts`` from one stacked
+        product, each slice symmetrized and independent of the other ts, and
+        which of them the SPD guard of a learned metric accepts. Each w^t is
+        taken once, with a scalar exponent (numpy's power over an array of
+        exponents rounds some values differently). The bound rho min(w^t) /
+        (tr(S) tr(A_t)) of ``spd._guard_certified`` decides, with tr(A_t)
+        = w^t . ``col_sq``; where it leaves some t unproved, ``spd.spd_mask``
+        on the whole stack decides instead."""
+        powers = np.stack([self.w**t for t in ts])
+        a = (self.p * powers[:, None, :]) @ self.p.T
+        stack = (a + a.swapaxes(1, 2)) / 2
         d = self.w.size
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             rho = 1.0 - d * spd._EPS * np.sqrt(self.s_trace * self.col_sq.sum())
             bound = rho * powers.min(axis=1) / (self.s_trace * (powers @ self.col_sq))
-        return spd._guard_certified(bound, d)
+        accepted = spd._guard_certified(bound, d)
+        return stack, accepted if accepted.all() else spd.spd_mask(stack)
 
     def proves_scatters(self, d_mat: np.ndarray) -> np.ndarray:
         """Whether the singular-scatter guard provably accepts S and D =
@@ -238,11 +229,11 @@ class LearnedMetric:
     config: GmmlConfig
     provenance: MetricProvenance
     standardizer: Standardizer | None = None
-    # set by solve when its factors prove that check_spd accepts ``matrix``
-    _spd_proved: InitVar[bool] = False
+    # set by solve when the guard of ``GeodesicBasis.stage`` accepts ``matrix``
+    _spd_checked: InitVar[bool] = False
 
-    def __post_init__(self, _spd_proved):
-        if not _spd_proved:
+    def __post_init__(self, _spd_checked):
+        if not _spd_checked:
             object.__setattr__(self, "matrix", spd.check_spd(self.matrix, "learned metric"))
 
     @property
@@ -407,14 +398,14 @@ def solve(
     L^T D L = V diag(w) V^T and P = L^{-T} V, the metric is
     A = P diag(w^t) P^T, where (P, w) is the ``GeodesicBasis`` of
     :func:`solve_basis`. The recorded residual is that of the midpoint
-    A_{1/2}, which is built in the same stacked product as A_t when
-    ``cfg.t`` is not 1/2. The metric's SPD check runs its ``eigvalsh``
-    only where the basis cannot prove the outcome (``proves_spd``).
+    A_{1/2}, built in the same ``GeodesicBasis.stage`` as A_t when
+    ``cfg.t`` is not 1/2; a metric that stage's guard rejects goes through
+    ``check_spd``, which raises its usual NotPositiveDefinite.
     ``standardizer``, the z-score of the points behind ``sc``, if any, is
     attached to the metric.
     """
     basis, s_used, d_used = solve_basis(sc, cfg)
-    built = basis.matrices((cfg.t,) if cfg.t == 0.5 else (cfg.t, 0.5))
+    built, accepted = basis.stage((cfg.t,) if cfg.t == 0.5 else (cfg.t, 0.5))
     return LearnedMetric(
         matrix=built[0],
         config=cfg,
@@ -425,5 +416,5 @@ def solve(
             fingerprint=fingerprint,
         ),
         standardizer=standardizer,
-        _spd_proved=bool(basis.proves_spd((cfg.t,))[0]),
+        _spd_checked=bool(accepted[0]),
     )

@@ -1,7 +1,9 @@
 """Dense symmetric / SPD linear algebra.
 
-Factorizations, matrix powers, geodesics on the SPD manifold, and the two
-divergences used by the solvers. All functions are pure: they validate
+Factorizations, matrix powers, geodesics on the SPD manifold, and two
+divergences between SPD matrices (the Riemannian distance and the
+symmetrized LogDet divergence) for measuring learned metrics; no solver
+calls them. All functions are pure: they validate
 their inputs, never mutate them, and return freshly allocated arrays.
 Everything runs on numpy's LAPACK: Cholesky, symmetric eigensolvers, and
 triangular solves as back substitution (:func:`_back_solve`).
@@ -65,9 +67,10 @@ def check_spd(a, name: str = "matrix") -> np.ndarray:
 
     Symmetry must hold exactly (construct inputs with :func:`symmetrize`);
     positive definiteness is checked through the relative eigenvalue guard.
-    ``solve`` skips this check for a metric whose own factors prove its
-    outcome (:func:`_guard_certified`); a loaded metric file and a prior,
-    which carry no factors, always run it.
+    ``solve`` skips this check for a metric its stage's guard has accepted
+    (``GeodesicBasis.stage``: its factors' bound, :func:`_guard_certified`,
+    or :func:`spd_mask`); a loaded metric file and a prior, which carry no
+    factors, always run it.
     """
     a = as_square(a, name)
     if not np.array_equal(a, a.T):
@@ -144,8 +147,8 @@ def spd_mask(stack: np.ndarray) -> np.ndarray:
     """Which matrices of a (T, d, d) stack :func:`check_spd` accepts, from
     one stacked ``eigvalsh``: the same exact-symmetry test and relative
     guard. A stack the eigensolver fails on reads as all rejected.
-    ``cross_validate_t`` runs it only on a stage whose factors leave some
-    matrix unproved (``GeodesicBasis.proves_spd``).
+    ``GeodesicBasis.stage`` runs it only on a stage whose factors leave
+    some matrix unproved, for ``solve`` and ``cross_validate_t`` alike.
     """
     symmetric = (stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
     try:

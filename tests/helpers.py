@@ -125,15 +125,16 @@ def solve_guard_oracle(sc: ScatterMatrices, cfg: GmmlConfig) -> tuple[np.ndarray
         with np.errstate(over="ignore"):
             s_used = sc.s_mat + cfg.lam * a0_inv
             d_used = sc.d_mat + cfg.lam * a0
-    built = _factor_pair(s_used, d_used, cfg.lam).matrices((cfg.t, 0.5))
+    built = _factor_pair(s_used, d_used, cfg.lam).stage((cfg.t, 0.5))[0]
     return check_spd(built[0], "learned metric"), riccati_residual(built[1], s_used, d_used)
 
 
 @contextmanager
 def guards_uncertified():
     """Within the block, no bound certifies anything, so every guard runs
-    its eigvalsh: ``cross_validate_t`` checks each stage with ``spd_mask``
-    and ``solve`` each metric with ``check_spd``."""
+    its eigvalsh: ``GeodesicBasis.stage`` checks each stack with
+    ``spd_mask``, for ``cross_validate_t`` and ``solve`` alike, and
+    ``solve`` a metric the stack's guard rejects with ``check_spd``."""
     def refuse(bound, d):
         return np.zeros(np.shape(bound), dtype=bool)
 

@@ -489,7 +489,7 @@ def test_knn_under_geodesic_factors_matches_scalar_vote(problem):
     # product only rounds to A_t, here with w spread over 8 to 9 decades
     points, labels, basis, queries, k, block_elements = problem
     assert basis.w[-1] >= 1e8 * basis.w[0]
-    metrics = basis.matrices(GEODESIC_TS)
+    metrics = basis.stage(GEODESIC_TS)[0]
     with (mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block_elements),
           warnings.catch_warnings()):
         warnings.simplefilter("ignore")
@@ -768,6 +768,19 @@ def test_cv_chosen_matches_exhaustive_scan_of_scores():
     assert [s.t for s in result.scores if s.stage == "fine"] == expected_fine
 
 
+def test_cv_scores_a_repeated_coarse_value_once():
+    # a repeated coarse value is kept once, at its first place, so each t
+    # is scored once and the outcome is that of the grid without repeats
+    data = make_anisotropic(np.random.default_rng(13), n_per_class=30)
+    repeated = CvPolicy(coarse_grid=(0.5, 0.5, 0.3, 0.5, 0.7))
+    assert repeated.coarse_grid == (0.5, 0.3, 0.7)
+    result = cross_validate_t(data, repeated, GmmlConfig(), k=5, seed=7)
+    ts = [s.t for s in result.scores]
+    assert len(ts) == len(set(ts))
+    assert result == cross_validate_t(data, CvPolicy(coarse_grid=(0.5, 0.3, 0.7)),
+                                      GmmlConfig(), k=5, seed=7)
+
+
 def test_cv_deterministic_given_seed():
     data = make_anisotropic(np.random.default_rng(14), n_per_class=20)
     a = cross_validate_t(data, CvPolicy(), GmmlConfig(), k=3, seed=3)
@@ -976,8 +989,8 @@ def test_certified_cv_matches_the_eigvalsh_guard_oracle(monkeypatch):
     monkeypatch.setattr(evaluation, "_pick_best",
                         lambda scored, first: picks.append(first) or pick_best(scored, first))
     masks = []
-    spd_mask = evaluation.spd_mask
-    monkeypatch.setattr(evaluation, "spd_mask", lambda stack: masks.append(stack.shape[0]) or spd_mask(stack))
+    spd_mask = spd.spd_mask
+    monkeypatch.setattr(spd, "spd_mask", lambda stack: masks.append(stack.shape[0]) or spd_mask(stack))
     rng = np.random.default_rng(27)
     data, policy, *rest = GUARD_FAILS_AT_09
     every_t_fails = (data, dataclasses.replace(policy, coarse_grid=(0.9,)), *rest)

@@ -449,6 +449,18 @@ def test_metric_version_2_needs_a_valid_standardizer(tmp_path, edit):
         load_metric(path)
 
 
+def test_metric_of_dimension_zero_is_corrupt(tmp_path):
+    # dim 0 with an empty matrix section agrees with itself, but no metric
+    # has dimension 0: the header is malformed, and the error names the file
+    path = tmp_path / "m.gmml"
+    save_metric(solved_metric(2), path)
+    text = path.read_text()
+    path.write_text(re.sub(r"^dim: 2$", "dim: 0", text[:text.index("matrix:\n") + 8],
+                           flags=re.MULTILINE))
+    with pytest.raises(CorruptMatrix, match=r"m\.gmml has a malformed header: dim must be >= 1"):
+        load_metric(path)
+
+
 HAND_BUILT_SPD = {
     "subnormals": [[1.0, 5e-324, 0.0], [5e-324, 1.0, -2.2250738585072e-310],
                    [0.0, -2.2250738585072e-310, 1.0]],

@@ -569,7 +569,7 @@ def test_solve_basis_gives_the_metric_at_every_t():
     rng = np.random.default_rng(24)
     sc = random_sc(rng, 4)
     ts = (0.0, 0.1, 0.5, 0.93, 1.0)
-    for t, a in zip(ts, solve_basis(sc)[0].matrices(ts), strict=True):
+    for t, a in zip(ts, solve_basis(sc)[0].stage(ts)[0], strict=True):
         assert np.array_equal(a, solve(sc, GmmlConfig(t=t)).matrix)
 
 
