@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import click
@@ -57,21 +58,33 @@ def _echo(message: str, err: bool = False) -> None:
 
 
 def _guard(fn):
-    """Map package exceptions to the documented exit codes."""
+    """Map package exceptions to the documented exit codes; print each distinct
+    UserWarning (a clamped k, say) once per command, as one ``warning:`` line."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (NotPositiveDefinite, ConvergenceError, SingularScatter) as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
-        except (DataError, DimensionMismatch, OSError) as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DATA)
-        except ValueError as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_ARGUMENT)
+        shown, show = {}, warnings.showwarning
+
+        def notice(message, category, *rest):  # setdefault is atomic: --jobs prints once
+            if category is not UserWarning:
+                show(message, category, *rest)
+            elif shown.setdefault(str(message), token := object()) is token:
+                _echo(f"warning: {message}", err=True)
+
+        with warnings.catch_warnings():
+            warnings.filterwarnings("always", category=UserWarning, module=r"gmml\.")
+            warnings.showwarning = notice
+            try:
+                return fn(*args, **kwargs)
+            except (NotPositiveDefinite, ConvergenceError, SingularScatter) as exc:
+                _echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_NUMERICAL)
+            except (DataError, DimensionMismatch, OSError) as exc:
+                _echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_DATA)
+            except ValueError as exc:
+                _echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_ARGUMENT)
 
     return wrapper
 

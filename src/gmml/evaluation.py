@@ -237,10 +237,8 @@ def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
     return int(candidates[best[0]])
 
 
-# The classifier's one memory budget, in floats: a chunk of a metric stack
-# holds about this many train embeddings (one n x d copy of train per
-# metric), and a block of queries about this many query x train distances
-# over the chunk's metrics, whatever the stack and test set sizes.
+# The classifier's one memory budget, in floats: a block holds about this many
+# query x train values over a chunk of the weights, whatever T and q.
 _BLOCK_ELEMENTS = 2**14
 # numpy's einsum sums a two-feature row in another order when it is given
 # fewer than three rows, so recomputing at least three candidates keeps every
@@ -258,101 +256,98 @@ def _one_hot(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _vote_rows(
     dists: np.ndarray, one_hot: np.ndarray, k: int, delta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The scalar ``_vote`` of every row of ``dists`` at once, for distances
-    known only to within ``delta`` (one bound per row) of the exact ones.
-
-    Returns the column of ``one_hot`` each row votes for, and a mask of the
-    rows this cannot decide exactly: those whose (k+1)-th distance lies
-    within 2 delta of the k-th (the voters are not certain), whose vote tie
-    has its two smallest mean distances within 2 delta plus the rounding of
-    the sums, or whose distances or bound are not finite. Every other row
-    has the voters, class counts and winner the scalar rule gives on the
-    exact distances; ``k`` must already be clamped to the row length.
+    """The scalar ``_vote`` of every row of ``dists`` at once, for values
+    within ``delta`` (one bound per row) of the exact distances less a
+    constant of the row, so possibly negative. Returns the column of
+    ``one_hot`` each row votes for, and a mask of the rows this cannot
+    decide exactly: those whose (k+1)-th value lies within 2 delta of the
+    k-th (the voters are not certain), whose vote tie has its two smallest
+    mean values within 2 delta plus the rounding of the sums, or whose
+    values or bound are not finite. Every other row has the voters, class
+    counts and winner the scalar rule gives on the exact distances; ``k``
+    must already be clamped to the row length. Only a contested row (more
+    than one top class) has its class sums formed.
     """
     m, n = dists.shape
-    # rows with huge or non-finite distances overflow below; they are unsure
+    # rows with huge or non-finite values overflow below; they are unsure
     with np.errstate(over="ignore", invalid="ignore"):
         rowmax = dists.max(axis=1)
         if k < n:
             part = np.partition(dists, k, axis=1)
-            kth = part[:, :k].max(axis=1)
+            least = part[:, :k].T.copy()  # reduced along its contiguous axis
+            kth, rowmin = least.max(axis=0), least.min(axis=0)
             unsure = ~(part[:, k] - kth > 2.0 * delta)
             del part  # free the copy before the vote's own temporaries
         else:
-            kth = rowmax
+            kth, rowmin = rowmax, dists.min(axis=1)
             unsure = np.zeros(m, dtype=bool)
-        unsure |= ~np.isfinite(2.0 * (rowmax + delta))
+        unsure |= ~np.isfinite(2.0 * (np.maximum(rowmax, -rowmin) + delta))
         voters = dists <= kth[:, None]
         counts = voters @ one_hot
-        sums = np.where(voters, dists, 0.0) @ one_hot
-        tied = counts == counts.max(axis=1)[:, None]
-        means = np.where(tied, sums / np.maximum(counts, 1.0), np.inf)
-        # first index of the smallest mean: the smaller class of an exact tie
-        choice = np.argmin(means, axis=1)
-        contested = np.flatnonzero(tied.sum(axis=1) > 1)
+        # a row is contested when its first and last largest counts differ
+        choice, last = np.argmax(counts, axis=1), np.argmax(counts[:, ::-1], axis=1)
+        contested = np.flatnonzero(choice + last != counts.shape[1] - 1)
         if contested.size:
-            low2 = np.partition(means[contested], 1, axis=1)
-            d = delta[contested]
-            # a mean of up to n_voters terms, each within delta and at most
-            # |kth| + delta, rounds by less than (n_voters + 1) eps of that
-            rounding = (counts[contested].sum(axis=1) + 1.0) * _EPS * (abs(kth[contested]) + d)
+            counts, d = counts[contested], delta[contested]
+            tied = counts == counts.max(axis=1)[:, None]
+            sums = np.where(voters[contested], dists[contested], 0.0) @ one_hot
+            means = np.where(tied, sums / np.maximum(counts, 1.0), np.inf)
+            # first index of the smallest mean: the smaller class of an exact tie
+            choice[contested] = np.argmin(means, axis=1)
+            low2 = np.partition(means, 1, axis=1)
+            # a mean of up to n_voters terms, each within delta and at most the
+            # voters' largest magnitude plus delta, rounds by (n_voters + 1) eps of that
+            rounding = (counts.sum(axis=1) + 1.0) * _EPS * (np.maximum(kth, -rowmin)[contested] + d)
             unsure[contested] |= ~(low2[:, 1] - low2[:, 0] > 2.0 * (d + 2.0 * rounding))
     return choice, unsure
 
 
 def _knn_labels(
-    train_pts: np.ndarray, train_labels: np.ndarray, a: np.ndarray, factors: np.ndarray,
-    queries: np.ndarray, k: int,
+    train_pts: np.ndarray, train_labels: np.ndarray, a: np.ndarray, basis: np.ndarray,
+    weights: np.ndarray, queries: np.ndarray, k: int,
 ) -> np.ndarray:
     """k-NN labels of the rows of ``queries`` under every metric of the
     (T, d, d) stack ``a``: entry (t, i) of the (T, q) result is decided
     exactly as ``_vote(_distances_to_all(a[t], train_pts, queries[i]),
-    train_labels, k)`` would decide it. ``factors[t] @ factors[t].T`` must
-    equal ``a[t]`` up to rounding: a Cholesky factor of a fixed metric, or
-    the F_t = P diag(w^{t/2}) of a geodesic (``GeodesicBasis.factors``).
+    train_labels, k)`` would decide it. A_t must round from M_t = B diag(W_t)
+    B^T, for the d x d ``basis`` B and row t of the (T, d) ``weights``: the
+    P and w^t of a geodesic (``GeodesicBasis.stage``), or a fixed metric's
+    Cholesky factor with weights of ones.
 
-    Train and queries are embedded by the factors F_t, so that
-    d_t(x, y) = ||xF_t||^2 + ||yF_t||^2 - 2 (xF_t).(yF_t), one stacked GEMM
-    per block of queries. That Gram distance g differs from the exact
-    distance e of ``_distances_to_all`` by at most
+    Z = X B and its norms under every W_t are taken once; each block of
+    queries is embedded once, scaled by -2 W_t per t and multiplied by Z^T
+    in one GEMM. Exactly, sum_j W_tj (z_yj^2 - 2 x_j z_yj) is the distance
+    u^T M_t u (u = x - y) less x^T M_t x, a row constant that moves no voter
+    set, k-th/(k+1)-th gap, candidate window or order of means. As computed,
+    it is within delta_t of e - x^T M_t x, e the exact ``_distances_to_all``:
 
         delta_t = (d + 3)^2 * eps * tr(A_t) * (||x||^2 + max_y ||y||^2).
 
-    To first order, with s = ||x||^2 + ||y||^2 >= ||x - y||^2 / 2, a sum
-    of n terms rounding by at most n eps/2 of their magnitudes, and
-    ||F_t||_F^2 = tr(A_t) >= ||A_t||_2 (in exact arithmetic, for F_t as for
-    a Cholesky factor):
+    To first order, with s = ||x||^2 + ||y||^2 >= ||u||^2 / 2, a sum of n
+    terms rounding by n eps/2 of their magnitudes, and tr(A_t) = tr(M_t) =
+    sum_j W_tj ||b_j||^2 >= ||A_t||_2, whatever the spread of W_t (each
+    term carries its own W_tj and its own rounding):
 
-    - the factor: each entry of A_t and of F_t F_t^T is a d-term sum over
-      the same products, formed with at most d + 3 and 4 roundings, so
-      |u^T (F_t F_t^T - A_t) u| <= (d + 7)/2 * eps * tr(A_t) * ||u||^2,
-      whatever the spread of w: each term carries its own w_j^t and its
-      own rounding, and sum_j w_j^t (|u|.|p_j|)^2 <= tr(A_t) ||u||^2 (a
-      Cholesky factor's backward error, (d + 1)/2 eps of the same
-      magnitudes, is smaller);
-    - the embedding rounds xF_t by at most d eps/2 ||x|| ||F_t||_F, which
-      moves g by at most 2d eps tr(A_t) s, and the three dot products and
-      their sum round by at most (d + 2) eps tr(A_t) s;
-    - the einsum of e, d^2 products of three factors, and u = x - y round
-      by at most (d^2 + 3) eps tr(A_t) s.
+    - A_t, M_t's products summed and symmetrized, moves e by (d + 2)/2 eps
+      tr(A_t) ||u||^2 (a Cholesky factor's backward error, (d + 1)/2 eps, is
+      smaller); x^T M_t x is never computed, so it carries no error;
+    - embedding rounds x.b_j by d eps/2 ||x|| ||b_j||, y.b_j likewise, so
+      the cross term, scaled (the -2 is exact), multiplied and summed,
+      rounds by (3d + 2)/2 eps tr(A_t) s, the train norm by (3d/2 + 1) eps
+      tr(A_t) s and their sum by eps tr(A_t) s;
+    - e's einsum, d^2 products of three factors, and u round by
+      (d^2 + 3) eps tr(A_t) s.
 
-    That is (d^2 + 4d + 12) eps tr(A_t) s in all, within delta_t for
-    d >= 2 (at d = 1 the symmetrization rounds nothing and the total is
-    16 = (d + 3)^2). The norms are taken before embedding: an
-    ill-conditioned factor can shrink the embedded norms far below the
-    error of embedding. A block's (T, rows, n) Gram distances are voted
-    at once by ``_vote_rows``, as T * rows rows each with its own delta.
-    A row it cannot decide exactly (a distance within 2 delta of the k-th,
-    or a vote tie within 2 delta on mean distance) is decided by the
-    scalar rule under its own A_t: every point whose exact distance is at
-    most the row's k-th exact distance has a Gram distance at most 2 delta
-    above the row's k-th Gram distance, or above its _MIN_CANDIDATES-th
-    when k is smaller. Those candidates get their exact distances back,
-    and ``_vote`` on them sees the same voters as on all of train:
-    duplicates, ties at the k-th distance and vote ties are decided the
-    same way. One budget, _BLOCK_ELEMENTS floats, bounds both a chunk of
-    the stack's train embeddings and a block's distances, so memory stays
-    bounded whatever T and the query count.
+    That is (d^2 + 4d + 8) eps tr(A_t) s, within delta_t. The norms are
+    taken before embedding, which an ill-conditioned basis can shrink far
+    below its own rounding. ``_vote_rows`` votes a block's T * rows rows at
+    once, each with its own delta; a row it cannot decide exactly is
+    decided by the scalar rule under its own A_t: every point whose exact
+    distance is at most the row's k-th has a value at most 2 delta above
+    the row's k-th value (or its _MIN_CANDIDATES-th when k is smaller), and
+    those candidates, with their exact distances back, give ``_vote`` the
+    voters it sees on all of train: duplicates, ties at the k-th distance
+    and vote ties alike. A block holds at most max(_BLOCK_ELEMENTS, n) values.
 
     Raises ValueError when k < 1; nothing here checks or factors ``a``.
     """
@@ -368,23 +363,21 @@ def _knn_labels(
     # delta per unit of squared row norm, one per metric
     scale = (d + 3) ** 2 * _EPS * np.trace(a, axis1=1, axis2=2)
     pick = min(n, max(k, _MIN_CANDIDATES)) - 1
-    predicted = np.empty((a.shape[0], queries.shape[0]), dtype=np.int64)
-    per_chunk = max(1, _BLOCK_ELEMENTS // (n * d))
-    for first in range(0, a.shape[0], per_chunk):
-        chunk = factors[first:first + per_chunk]
-        m = chunk.shape[0]
-        train_emb = train_pts @ chunk
-        train_sq = np.einsum("tij,tij->ti", train_emb, train_emb)
+    train_emb = train_pts @ basis
+    train_sq = weights @ (train_emb * train_emb).T  # (T, n)
+    predicted = np.empty((weights.shape[0], queries.shape[0]), dtype=np.int64)
+    per_chunk = max(1, _BLOCK_ELEMENTS // n)
+    for first in range(0, weights.shape[0], per_chunk):
+        scaled = -2.0 * weights[first:first + per_chunk]
+        m = scaled.shape[0]
         rows = max(1, _BLOCK_ELEMENTS // (n * m))
         for start in range(0, queries.shape[0], rows):
             block = queries[start:start + rows]
             r = block.shape[0]
-            emb = block @ chunk
+            emb = (scaled[:, None, :] * (block @ basis)).reshape(m * r, d)
             # in place: one block-sized temporary besides the vote's
-            gram = emb @ train_emb.transpose(0, 2, 1)
-            gram *= -2.0
-            gram += train_sq[:, None, :]
-            gram += np.einsum("tij,tij->ti", emb, emb)[:, :, None]
+            gram = (emb @ train_emb.T).reshape(m, r, n)
+            gram += train_sq[first:first + m, None, :]
             gram = gram.reshape(m * r, n)
             delta = np.outer(scale[first:first + m], query_raw[start:start + r]).ravel()
             choice, unsure = _vote_rows(gram, one_hot, k, delta)
@@ -393,8 +386,8 @@ def _knn_labels(
                 continue
             redo = np.flatnonzero(unsure)
             kth = np.partition(gram[redo], pick, axis=1)[:, pick]
-            # written as "not above" so that a Gram distance that overflowed to
-            # nan makes its point a candidate, measured exactly like the rest
+            # written as "not above" so that a value that overflowed to nan
+            # makes its point a candidate, measured exactly like the rest
             near = ~(gram[redo] > (kth + 2.0 * delta[redo])[:, None])
             for i, flat in enumerate(redo):
                 t, row = divmod(int(flat), r)
@@ -419,7 +412,7 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
     data, NotPositiveDefinite when ``metric`` is not SPD or not finite, and
     DataError when ``query`` is not finite. The metric is checked first.
     """
-    a, low = _metric_array(metric, train.n_features)
+    fixed = _metric_array(metric, train.n_features)
     query = np.asarray(query, dtype=float).ravel()
     if query.shape[0] != train.n_features:
         raise DimensionMismatch(
@@ -428,14 +421,15 @@ def knn_predict(train: LabeledDataset, metric, query, k: int = DEFAULT_K) -> int
     if not np.isfinite(query).all():
         raise DataError("query contains non-finite values")
     train_pts, queries = _coordinates(metric, False, train.points, query[None, :])
-    return int(_knn_labels(train_pts, train.labels, a[None], low[None], queries, k)[0, 0])
+    return int(_knn_labels(train_pts, train.labels, *fixed, queries, k)[0, 0])
 
 
-def _metric_array(metric, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix A of a fixed ``metric`` (an array or LearnedMetric) and
-    its Cholesky factor L, A = L L^T. A must be ``dim`` x ``dim``
-    (DimensionMismatch otherwise), and finite, exactly symmetric and
-    Cholesky-factorable (NotPositiveDefinite otherwise, in that order)."""
+def _metric_array(metric, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``a``, ``basis`` and ``weights`` of ``_knn_labels`` for a fixed
+    ``metric`` (an array or LearnedMetric): its matrix A as a stack of one,
+    its Cholesky factor L, A = L L^T, and weights of ones. A must be ``dim``
+    x ``dim`` (DimensionMismatch otherwise), and finite, exactly symmetric
+    and Cholesky-factorable (NotPositiveDefinite otherwise, in that order)."""
     a = as_square(metric.matrix if isinstance(metric, LearnedMetric) else metric, "metric")
     if a.shape[0] != dim:
         raise DimensionMismatch(f"metric dim {a.shape[0]} vs data dim {dim}")
@@ -443,7 +437,7 @@ def _metric_array(metric, dim: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotPositiveDefinite("metric contains non-finite values")
     if not np.array_equal(a, a.T):
         raise NotPositiveDefinite("metric is not symmetric")
-    return a, cholesky(a)
+    return a[None], cholesky(a), np.ones((1, dim))
 
 
 def _coordinates(metric, standardize: bool, train_pts: np.ndarray, *others: np.ndarray):
@@ -524,9 +518,9 @@ def evaluate_split(
         raise DimensionMismatch(
             f"train dim {train.n_features} vs test dim {test.n_features}"
         )
-    a, low = _metric_array(metric, train.n_features)
+    fixed = _metric_array(metric, train.n_features)
     train_pts, test_pts = _coordinates(metric, standardize, train.points, test.points)
-    predicted = _knn_labels(train_pts, train.labels, a[None], low[None], test_pts, k)[0]
+    predicted = _knn_labels(train_pts, train.labels, *fixed, test_pts, k)[0]
     return int(np.count_nonzero(predicted != test.labels)) / test.n_points
 
 
@@ -616,11 +610,11 @@ def cross_validate_t(
 
     Step one scores the coarse grid; step two scores a fine window around
     the coarse winner. Per fold, one ``GeodesicBasis.stage`` call builds a
-    stage's A_t and decides which of them the guard of a learned metric
-    accepts, as it does for :func:`solve`. The accepted ones are classified
-    by one ``_knn_labels`` call through their geodesic factors
-    F_t = P diag(w^{t/2}), so nothing is factored after the folds' own
-    fits. A t whose A_t the guard rejects on any fold is disqualified;
+    stage's A_t, takes each w^t once and decides which A_t the guard of a
+    learned metric accepts, as it does for :func:`solve`. One
+    ``_knn_labels`` call classifies the accepted ones from Z = X P and their
+    w^t, so nothing is factored after the folds' own fits. A t whose A_t
+    the guard rejects on any fold is disqualified;
     every other t scores its mean validation error over the folds. The
     overall argmin wins, with ties broken toward the t nearest 0.5. With
     every t disqualified, NotPositiveDefinite names the first rejected
@@ -655,12 +649,11 @@ def cross_validate_t(
         order of t, whose metric the guard rejects (None if there is none)."""
         errors = np.full((len(ts), n_folds), np.nan)  # NaN: the guard rejected A_t
         for f, (train_labels, train_pts, val_labels, val_pts, basis) in enumerate(fits):
-            stack, accepted = basis.stage(ts)
+            stack, accepted, powers = basis.stage(ts)
             if accepted.any():
-                factors = basis.factors(np.compress(accepted, ts))
-                predicted = _knn_labels(train_pts, train_labels, stack[accepted], factors, val_pts, k)
-                wrong = np.count_nonzero(predicted != val_labels, axis=1)
-                errors[accepted, f] = wrong / val_labels.size
+                predicted = _knn_labels(train_pts, train_labels, stack[accepted], basis.p,
+                                        powers[accepted], val_pts, k)
+                errors[accepted, f] = np.mean(predicted != val_labels, axis=1)
         rejected = np.isnan(errors)
         scores = [
             TScore(t=t, mean_error=None, stage=stage, disqualified=True) if failed.any()

@@ -142,13 +142,11 @@ class MetricProvenance:
 @dataclass(frozen=True)
 class GeodesicBasis:
     """The factored scatter pair behind a solve: with S = L L^T and
-    L^T D L = V diag(w) V^T, ``p`` is P = L^{-T} V and ``w`` holds the
-    eigenvalues, ascending. Every point of the geodesic is then
-    A_t = P diag(w^t) P^T, and F_t = P diag(w^{t/2}) factors it as
-    A_t = F_t F_t^T, so one factorization serves every t (``stage``,
-    ``factors``). ``s_trace`` is tr(S), which with P and w bounds the
-    eigenvalues of S, D and every A_t (``proves_scatters``, ``stage``).
-    """
+    L^T D L = V diag(w) V^T, ``p`` is P = L^{-T} V and ``w`` the eigenvalues,
+    ascending. Every point of the geodesic is A_t = P diag(w^t) P^T, so one
+    factorization serves every t (``stage``); under Z = X P only the weights
+    w^t of a distance change with t. ``s_trace`` is tr(S), which with P and
+    w bounds the eigenvalues of S, D and every A_t (``proves_scatters``)."""
 
     p: np.ndarray
     w: np.ndarray
@@ -159,15 +157,15 @@ class GeodesicBasis:
     def __post_init__(self):
         object.__setattr__(self, "col_sq", np.einsum("ij,ij->j", self.p, self.p))
 
-    def stage(self, ts) -> tuple[np.ndarray, np.ndarray]:
+    def stage(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (T, d, d) stack of A_t, one per t of ``ts`` from one stacked
-        product, each slice symmetrized and independent of the other ts, and
-        which of them the SPD guard of a learned metric accepts. Each w^t is
-        taken once, with a scalar exponent (numpy's power over an array of
-        exponents rounds some values differently). The bound rho min(w^t) /
-        (tr(S) tr(A_t)) of ``spd._guard_certified`` decides, with tr(A_t)
-        = w^t . ``col_sq``; where it leaves some t unproved, ``spd.spd_mask``
-        on the whole stack decides instead."""
+        product, each slice symmetrized and independent of the other ts,
+        which of them the SPD guard of a learned metric accepts, and the
+        (T, d) powers w^t, each taken once with a scalar exponent (numpy's
+        power over an array of exponents rounds some values differently).
+        The bound rho min(w^t) / (tr(S) tr(A_t)) of ``spd._guard_certified``
+        decides, with tr(A_t) = w^t . ``col_sq``; where it leaves some t
+        unproved, ``spd.spd_mask`` on the whole stack decides instead."""
         powers = np.stack([self.w**t for t in ts])
         a = (self.p * powers[:, None, :]) @ self.p.T
         stack = (a + a.swapaxes(1, 2)) / 2
@@ -176,7 +174,7 @@ class GeodesicBasis:
             rho = 1.0 - d * spd._EPS * np.sqrt(self.s_trace * self.col_sq.sum())
             bound = rho * powers.min(axis=1) / (self.s_trace * (powers @ self.col_sq))
         accepted = spd._guard_certified(bound, d)
-        return stack, accepted if accepted.all() else spd.spd_mask(stack)
+        return stack, accepted if accepted.all() else spd.spd_mask(stack), powers
 
     def proves_scatters(self, d_mat: np.ndarray) -> np.ndarray:
         """Whether the singular-scatter guard provably accepts S and D =
@@ -187,11 +185,6 @@ class GeodesicBasis:
             bounds = np.array([1.0 / (self.s_trace * self.col_sq.sum()),
                                self.w[0] / (self.s_trace * np.linalg.norm(d_mat))])
         return spd._guard_certified(bounds, self.w.size)
-
-    def factors(self, ts) -> np.ndarray:
-        """The (T, d, d) stack of F_t = P diag(w^{t/2}), one per t of
-        ``ts``: F_t F_t^T is A_t up to rounding."""
-        return self.p * np.stack([self.w ** (t / 2) for t in ts])[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -405,7 +398,7 @@ def solve(
     attached to the metric.
     """
     basis, s_used, d_used = solve_basis(sc, cfg)
-    built, accepted = basis.stage((cfg.t,) if cfg.t == 0.5 else (cfg.t, 0.5))
+    built, accepted, _ = basis.stage((cfg.t,) if cfg.t == 0.5 else (cfg.t, 0.5))
     return LearnedMetric(
         matrix=built[0],
         config=cfg,

@@ -153,6 +153,13 @@ COMMANDS: tuple[Command, ...] = (
     _cmd(f"eval {KNN} --metric knn.gmml --k 5 --out knn.json"),
     _cmd(f"eval {KNN} --metric identity --k 5"),
     _cmd(f"eval {KNN} --t cv --count 200"),
+    # tie-prone integer grids with exact duplicates, and the same grid 1e6
+    # away from the origin: the classifier's exact fallback decides their ties
+    *(_cmd(line.format(grid=grid)) for grid in ("grid.csv", "grid-far.csv") for line in (
+        "eval --data {grid} --t cv",
+        "benchmark {grid} --t cv --runs 2",
+        "eval --train {grid} --test {grid} --metric identity --k 4",
+    )),
     _cmd("eval --train data.csv --metric identity", ARGUMENT),
     _cmd("eval --data data.csv --train data.csv --test data.csv --metric identity", ARGUMENT),
     _cmd("eval --data data.csv --metric identity --format xml", ARGUMENT),
@@ -235,6 +242,13 @@ def write_inputs(work: Path) -> None:
     _save(work / "knn-train.csv", knn_points[:400], knn_labels[:400], fmt="%.10g")
     _save(work / "knn-test.csv", knn_points[400:], knn_labels[400:], fmt="%.10g")
     _save(work / "wide.csv", *_mixture(200, 64, 4, 8, 3.0, 3), fmt="%.10g")
+    grid_rng = np.random.default_rng(6)
+    grid = grid_rng.integers(-2, 3, size=(45, 3)).astype(float)
+    grid_labels = np.digitize(grid[:, 0] + 0.5 * grid[:, 1], [-1.0, 1.0])
+    again = grid_rng.integers(0, 45, size=15)
+    grid, grid_labels = np.vstack((grid, grid[again])), np.concatenate((grid_labels, grid_labels[again]))
+    _save(work / "grid.csv", grid, grid_labels, fmt="%.10g")
+    _save(work / "grid-far.csv", grid + 1e6, grid_labels, fmt="%.10g")
     const = np.random.default_rng(4).normal(size=(30, 3))
     const[:, 1] = 2.5
     _save(work / "const.csv", const, np.arange(30) % 2)

@@ -259,8 +259,8 @@ def cross_validate_t_oracle(
     disqualifies that t.
 
     Same contract as :func:`gmml.cross_validate_t`, which scores every t of
-    a fold from one factorization and classifies them together through
-    their geodesic factors, except for a metric the guard accepts but that
+    a fold from one factorization and classifies them together from
+    Z = X P and their weights w^t, except for a metric the guard accepts but that
     has no Cholesky factor: ``evaluate_split`` refuses it, so the oracle
     disqualifies its t, while ``cross_validate_t`` never factors it and
     scores it.

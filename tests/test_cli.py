@@ -559,6 +559,18 @@ def overflowing_csv(tmp_path):
     return path
 
 
+def test_k_clamp_notice_is_one_line_per_command(runner, blobs_csv):
+    # every unit of the benchmark clamps k on its 20 training points: each of
+    # two in-process commands prints the notice once, with no source location
+    argv = ["benchmark", str(blobs_csv), "--baseline", "--runs", "2", "--k", "50"]
+    for _ in range(2):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, all_text(result)
+        notices = [line for line in result.stderr.splitlines() if "clamping" in line]
+        assert notices == ["warning: k=50 exceeds 20 training points; clamping to 20"]
+        assert ".py:" not in result.stderr and "warnings.warn" not in result.stderr
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
 def test_learn_failing_eigensolver_exits_with_numerical_code(runner, overflowing_csv,
                                                               tmp_path):

@@ -384,6 +384,20 @@ def _block_elements(draw, n, d, q, t):
                           st.integers(1, n * max(d, q) * t)))
 
 
+def _fixed_metric(draw, rng, d):
+    """An identity, ill-conditioned, near-singular or random SPD metric."""
+    kind = draw(st.sampled_from(["identity", "ill", "near-singular", "random"]))
+    if kind == "identity":
+        return np.eye(d)
+    if kind == "ill":
+        return np.diag(rng.permutation(np.logspace(-8, 8, d)))
+    if kind == "near-singular":
+        v = rng.standard_normal(d)
+        return np.outer(v, v) + 1e-8 * np.eye(d)
+    m = rng.standard_normal((d, d))
+    return m @ m.T + 0.1 * np.eye(d)
+
+
 @st.composite
 def knn_problems(draw):
     """Small tie-prone k-NN problems (``_tie_prone_points``), k up to
@@ -393,19 +407,7 @@ def knn_problems(draw):
     points, queries = _tie_prone_points(draw, d)
     n = len(points)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    metrics = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["identity", "ill", "near-singular", "random"]))
-        if kind == "identity":
-            metrics.append(np.eye(d))
-        elif kind == "ill":
-            metrics.append(np.diag(rng.permutation(np.logspace(-8, 8, d))))
-        elif kind == "near-singular":
-            v = rng.standard_normal(d)
-            metrics.append(np.outer(v, v) + 1e-8 * np.eye(d))
-        else:
-            m = rng.standard_normal((d, d))
-            metrics.append(m @ m.T + 0.1 * np.eye(d))
+    metrics = [_fixed_metric(draw, rng, d) for _ in range(draw(st.integers(1, 6)))]
     labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     block_elements = _block_elements(draw, n, d, len(queries), len(metrics))
     return _problem(points, labels, metrics, queries, draw(st.integers(1, n + 2)),
@@ -448,35 +450,41 @@ def test_batched_knn_matches_scalar_vote(problem):
     with (mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block_elements),
           warnings.catch_warnings(record=True) as caught):
         warnings.simplefilter("always")
-        got = _knn_labels(points, labels, metrics, np.linalg.cholesky(metrics), queries, k)
+        ones = np.ones((1, points.shape[1]))
+        got = [_knn_labels(points, labels, a[None], np.linalg.cholesky(a), ones, queries, k)[0]
+               for a in metrics]
     assert (k > len(points)) == any(issubclass(w.category, UserWarning) for w in caught)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         expected = [[_vote(_distances_to_all(a, points, q), labels, k) for q in queries]
                     for a in metrics]
-    assert got.tolist() == expected
+    assert [row.tolist() for row in got] == expected
 
 
 GEODESIC_TS = (0.01, 0.5, 0.99)
 
 
-@st.composite
-def geodesic_knn_problems(draw):
-    """Tie-prone points and queries (``_tie_prone_points``), k up to n + 2,
-    and the geodesic basis ``solve_basis`` factors from a scatter pair:
-    S has condition number at most 100, and D = P diag(w) P^T with
-    P = L^{-T} V (S = L L^T, V orthogonal), so that the whitened spectrum
-    w spans 2e8 to 1e9 at a random scale."""
-    d = draw(st.integers(2, 4))
-    points, queries = _tie_prone_points(draw, d)
-    n = len(points)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _geodesic_basis(draw, rng, d):
+    """The geodesic basis ``solve_basis`` factors from a scatter pair: S has
+    condition number at most 100, and D = P diag(w) P^T with P = L^{-T} V
+    (S = L L^T, V orthogonal), so that the whitened spectrum w spans 2e8
+    to 1e9 at a random scale."""
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     s = (q * 10.0 ** rng.uniform(-1.0, 1.0, d)) @ q.T
     v = np.linalg.qr(rng.standard_normal((d, d)))[0]
     p = np.linalg.inv(np.linalg.cholesky(spd.symmetrize(s))).T @ v
     w = np.geomspace(1.0, draw(st.sampled_from([2e8, 1e9])), d) * 10.0 ** rng.uniform(-3, 3)
-    basis = solve_basis(ScatterMatrices(s_mat=s, d_mat=(p * w) @ p.T, sim_count=0, dis_count=0))[0]
+    return solve_basis(ScatterMatrices(s_mat=s, d_mat=(p * w) @ p.T, sim_count=0, dis_count=0))[0]
+
+
+@st.composite
+def geodesic_knn_problems(draw):
+    """Tie-prone points and queries (``_tie_prone_points``), k up to n + 2,
+    and a geodesic basis (``_geodesic_basis``) whose w spans 2e8 to 1e9."""
+    d = draw(st.integers(2, 4))
+    points, queries = _tie_prone_points(draw, d)
+    n = len(points)
+    basis = _geodesic_basis(draw, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
     labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     block_elements = _block_elements(draw, n, d, len(queries), len(GEODESIC_TS))
     return points, labels, basis, queries, draw(st.integers(1, n + 2)), block_elements
@@ -485,17 +493,94 @@ def geodesic_knn_problems(draw):
 @settings(max_examples=300, deadline=None)
 @given(geodesic_knn_problems())
 def test_knn_under_geodesic_factors_matches_scalar_vote(problem):
-    # cross-validation classifies through F_t = P diag(w^{t/2}), whose
+    # cross-validation classifies through Z = X P weighted by w^t, whose
     # product only rounds to A_t, here with w spread over 8 to 9 decades
     points, labels, basis, queries, k, block_elements = problem
     assert basis.w[-1] >= 1e8 * basis.w[0]
-    metrics = basis.stage(GEODESIC_TS)[0]
+    metrics, _, powers = basis.stage(GEODESIC_TS)
     with (mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block_elements),
           warnings.catch_warnings()):
         warnings.simplefilter("ignore")
-        got = _knn_labels(points, labels, metrics, basis.factors(GEODESIC_TS), queries, k)
+        got = _knn_labels(points, labels, metrics, basis.p, powers, queries, k)
         expected = [[_vote(_distances_to_all(a, points, q), labels, k) for q in queries]
                     for a in metrics]
+    assert got.tolist() == expected
+
+
+@st.composite
+def offset_knn_problems(draw):
+    """Tie-prone points and queries (``_tie_prone_points``) translated by
+    one common offset of 1e3 to 1e6 in magnitude per coordinate, k up to
+    n + 2, under one fixed metric (``_fixed_metric``, through its Cholesky
+    factor with weights of ones) or at GEODESIC_TS on a geodesic whose w
+    spans 2e8 to 1e9 (``_geodesic_basis``), under a memory cap from
+    ``_block_elements``. Far from the origin the Gram expansion cancels, and
+    the dropped row constant x^T A_t x is far larger than the distances."""
+    d = draw(st.integers(2, 4))
+    points, queries = _tie_prone_points(draw, d)
+    magnitudes = st.sampled_from([1e3, -1e3, 1e4, 1e5, -1e5, 1e6, -1e6])
+    offset = np.array(draw(st.lists(magnitudes, min_size=d, max_size=d)))
+    points, queries = points + offset, queries + offset
+    n = len(points)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        basis = _geodesic_basis(draw, rng, d)
+        metrics, _, weights = basis.stage(GEODESIC_TS)
+        factor = basis.p
+    else:
+        metric = _fixed_metric(draw, rng, d)
+        metrics, factor, weights = metric[None], np.linalg.cholesky(metric), np.ones((1, d))
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    block_elements = _block_elements(draw, n, d, len(queries), len(metrics))
+    return (points, labels, metrics, factor, weights, queries, draw(st.integers(1, n + 2)),
+            block_elements)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset_knn_problems())
+# a cross term that overflows to -inf while the train norms and delta stay
+# finite: the exact distances are both inf, so the vote ties
+@example((np.array([[1e53, 0.0], [0.0, 0.0]]), np.array([1, 0]), 1e200 * np.eye(2)[None],
+          1e100 * np.eye(2), np.ones((1, 2)), np.array([[1e56, 0.0]]), 1, 2**14))
+def test_knn_far_from_the_origin_matches_scalar_vote(problem):
+    # the classifier drops each row's constant x^T A_t x and scales Z = X B
+    # by the weights; both must leave every decision the scalar rule's
+    points, labels, metrics, factor, weights, queries, k, block_elements = problem
+    with (mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block_elements),
+          warnings.catch_warnings()):
+        warnings.simplefilter("ignore")
+        got = _knn_labels(points, labels, metrics, factor, weights, queries, k)
+        expected = [[_vote(_distances_to_all(a, points, q), labels, k) for q in queries]
+                    for a in metrics]
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("budget", [1, 40, 100, 1000, evaluation._BLOCK_ELEMENTS])
+def test_knn_blocks_stay_within_the_budget(budget):
+    # once the budget admits one train row, no block the vote sees holds more
+    # than _BLOCK_ELEMENTS values, and each (t, query) row is voted once
+    rng = np.random.default_rng(29)
+    n, q, ts = 40, 23, tuple(np.linspace(0.05, 0.95, 9))
+    data = make_blobs(rng, n_per_class=n // 2)
+    queries = rng.standard_normal((q, data.n_features)) * 3.0
+    pairs = sample_constraints(data, 120, seed=0)
+    basis = solve_basis(scatter_matrices(data.points, pairs))[0]
+    metrics, _, powers = basis.stage(ts)
+    shapes = []
+    vote_rows = evaluation._vote_rows
+
+    def recording(dists, *args):
+        shapes.append(dists.shape)
+        return vote_rows(dists, *args)
+
+    with (mock.patch.object(evaluation, "_BLOCK_ELEMENTS", budget),
+          mock.patch.object(evaluation, "_vote_rows", recording)):
+        got = _knn_labels(data.points, data.labels, metrics, basis.p, powers, queries, 5)
+    assert sum(rows for rows, _ in shapes) == len(ts) * q
+    assert {cols for _, cols in shapes} == {n}
+    assert max(rows * cols for rows, cols in shapes) <= max(budget, n)
+    expected = [[_vote(_distances_to_all(a, data.points, x), data.labels, 5) for x in queries]
+                for a in metrics]
     assert got.tolist() == expected
 
 
@@ -1040,9 +1125,9 @@ def test_cv_classifies_each_stage_in_one_knn_call_per_fold(monkeypatch):
     checks = Counter()
     knn_labels, check_spd = evaluation._knn_labels, spd.check_spd
 
-    def counting_knn(train_pts, train_labels, a, factors, queries, k):
+    def counting_knn(train_pts, train_labels, a, basis, weights, queries, k):
         stacks.append(a.shape[0])
-        return knn_labels(train_pts, train_labels, a, factors, queries, k)
+        return knn_labels(train_pts, train_labels, a, basis, weights, queries, k)
 
     def counting_check(a, name="matrix"):
         checks[name] += 1
@@ -1079,9 +1164,9 @@ def test_cv_raises_a_later_folds_fitting_error_before_any_classification(monkeyp
             raise ValueError("fold 1 cannot sample its pairs")
         return sample(data, count, seed)
 
-    def counting_knn(train_pts, train_labels, a, factors, queries, k):
+    def counting_knn(train_pts, train_labels, a, basis, weights, queries, k):
         stacks.append(a.shape[0])
-        return knn_labels(train_pts, train_labels, a, factors, queries, k)
+        return knn_labels(train_pts, train_labels, a, basis, weights, queries, k)
 
     monkeypatch.setattr(evaluation, "sample_constraints", failing_sample)
     monkeypatch.setattr(evaluation, "_knn_labels", counting_knn)
