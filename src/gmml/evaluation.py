@@ -314,12 +314,13 @@ def _knn_labels(
     P and w^t of a geodesic (``GeodesicBasis.stage``), or a fixed metric's
     Cholesky factor with weights of ones.
 
-    Z = X B and its norms under every W_t are taken once; each block of
-    queries is embedded once, scaled by -2 W_t per t and multiplied by Z^T
-    in one GEMM. Exactly, sum_j W_tj (z_yj^2 - 2 x_j z_yj) is the distance
-    u^T M_t u (u = x - y) less x^T M_t x, a row constant that moves no voter
-    set, k-th/(k+1)-th gap, candidate window or order of means. As computed,
-    it is within delta_t of e - x^T M_t x, e the exact ``_distances_to_all``:
+    Z = X B is taken once, laid out (d, n) as B^T X^T, and so are its norms
+    under every W_t; each block of queries is embedded once, scaled by
+    -2 W_t per t and multiplied by that Z^T in one GEMM. Exactly, sum_j
+    W_tj (z_yj^2 - 2 x_j z_yj) is the distance u^T M_t u (u = x - y) less
+    x^T M_t x, a row constant that moves no voter set, k-th/(k+1)-th gap,
+    candidate window or order of means. As computed, it is within delta_t
+    of e - x^T M_t x, e the exact ``_distances_to_all``:
 
         delta_t = (d + 3)^2 * eps * tr(A_t) * (||x||^2 + max_y ||y||^2).
 
@@ -363,8 +364,9 @@ def _knn_labels(
     # delta per unit of squared row norm, one per metric
     scale = (d + 3) ** 2 * _EPS * np.trace(a, axis1=1, axis2=2)
     pick = min(n, max(k, _MIN_CANDIDATES)) - 1
-    train_emb = train_pts @ basis
-    train_sq = weights @ (train_emb * train_emb).T  # (T, n)
+    # (d, n) and C-contiguous, so no block's GEMM re-packs a transposed operand
+    train_emb = basis.T @ train_pts.T
+    train_sq = weights @ (train_emb * train_emb)  # (T, n)
     predicted = np.empty((weights.shape[0], queries.shape[0]), dtype=np.int64)
     per_chunk = max(1, _BLOCK_ELEMENTS // n)
     for first in range(0, weights.shape[0], per_chunk):
@@ -376,7 +378,7 @@ def _knn_labels(
             r = block.shape[0]
             emb = (scaled[:, None, :] * (block @ basis)).reshape(m * r, d)
             # in place: one block-sized temporary besides the vote's
-            gram = (emb @ train_emb.T).reshape(m, r, n)
+            gram = (emb @ train_emb).reshape(m, r, n)
             gram += train_sq[first:first + m, None, :]
             gram = gram.reshape(m * r, n)
             delta = np.outer(scale[first:first + m], query_raw[start:start + r]).ravel()

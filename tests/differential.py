@@ -103,6 +103,11 @@ COMMANDS: tuple[Command, ...] = (
     _cmd("learn label-first.csv --label-column 0 --out lf.gmml"),
     _cmd("learn float-only.csv --out f.gmml"),
     _cmd("learn us.csv --out us.gmml"),
+    # string labels padded with spaces, stripped on the way to a report's
+    # label_names
+    _cmd("learn padded.csv --out padded.gmml"),
+    _cmd("eval --train padded.csv --test padded.csv --metric padded.gmml --out padded.json"),
+    _cmd("benchmark padded.csv --runs 1"),
     _cmd("learn wide.csv --count 2000 --out wide.gmml"),
     _cmd("learn cv.csv --t cv --lambda 0.5 --count 240 --out cvdata.gmml"),
     # learn's failures: bad options, bad files, singular and ill-resolved pencils
@@ -122,6 +127,8 @@ COMMANDS: tuple[Command, ...] = (
     _cmd("learn extra.csv --out e.gmml", DATA),
     _cmd("learn one.csv --out one.gmml", DATA),
     _cmd("learn onerow.csv --out onerow.gmml", DATA),
+    _cmd("learn short.csv --out short.gmml", DATA),
+    _cmd("learn nolabel.csv --out nolabel.gmml", DATA),
     _cmd("learn flat.csv --out flat.gmml", NUMERICAL),
     _cmd("learn flat.csv --lambda 0.5 --out flat.gmml"),
     _cmd("learn const.csv --out const.gmml", NUMERICAL),
@@ -227,6 +234,12 @@ def write_inputs(work: Path) -> None:
     (work / "two.csv").write_text("".join(row.split(",", 1)[1] + "\n" for row in lines))
     (work / "onerow.csv").write_text(lines[0] + "\n")
     (work / "extra.csv").write_text("\n".join([*lines[:2], lines[2] + ",0", *lines[3:]]) + "\n")
+    (work / "short.csv").write_text(
+        "\n".join([*lines[:4], lines[4].split(",", 1)[1], *lines[5:]]) + "\n")
+    (work / "nolabel.csv").write_text("\n".join([*lines[:-1], lines[-1][:-1]]) + "\n")
+    padding = {"0": " a", "1": "b "}
+    (work / "padded.csv").write_text(
+        "".join(row[:-1] + padding[row[-1]] + "\n" for row in lines))
     first = lines[0].split(",")
     (work / "float-only.csv").write_text(
         "\n".join([",".join(["1_000", "１２", *first[2:]]), *lines[1:]]) + "\n",

@@ -45,7 +45,6 @@ from gmml.evaluation import (
     fit_metric,
     stratified_folds,
 )
-from gmml.io import _encode_labels
 from gmml.learn import _factor_pair, riccati_residual, solve_basis
 
 
@@ -194,8 +193,7 @@ def load_dataset_oracle(path, label_column: int = -1) -> LabeledDataset:
     """Reference loader: keeps every row's tokens, then converts token by token.
 
     Same contract as :func:`gmml.load_dataset` for UTF-8 files without a
-    byte-order mark and without empty fields, where the library loader
-    deliberately differs.
+    byte-order mark, which the library loader skips.
     """
     path = Path(path)
     rows: list[list[str]] = []
@@ -230,6 +228,8 @@ def load_dataset_oracle(path, label_column: int = -1) -> LabeledDataset:
     label_tokens: list[str] = []
     features = np.empty((len(rows), width - 1))
     for r, (fields, lineno) in enumerate(zip(rows, line_numbers)):
+        if not fields[col]:
+            raise ParseError(f"empty label in column {col}", lineno)
         label_tokens.append(fields[col])
         feat = fields[:col] + fields[col + 1:]
         for c_idx, tok in enumerate(feat):
@@ -243,9 +243,24 @@ def load_dataset_oracle(path, label_column: int = -1) -> LabeledDataset:
 
     if len(rows) < 2:
         raise DataError(f"{path} has 1 data row; a dataset needs at least 2")
-    labels, label_names = _encode_labels(label_tokens)
+    labels, label_names = _encode_labels_oracle(label_tokens)
     return LabeledDataset(points=features, labels=labels, label_names=label_names,
                           name=path.stem)
+
+
+def _encode_labels_oracle(tokens: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Integer labels forming 0..c-1 as-is, else codes by first appearance."""
+    try:
+        ints = [int(t) for t in tokens]
+    except ValueError:
+        ints = None
+    if ints is not None and sorted(set(ints)) == list(range(len(set(ints)))):
+        return np.asarray(ints, dtype=np.int64), [str(v) for v in sorted(set(ints))]
+    names: list[str] = []
+    for t in tokens:
+        if t not in names:
+            names.append(t)
+    return np.asarray([names.index(t) for t in tokens], dtype=np.int64), names
 
 
 def cross_validate_t_oracle(

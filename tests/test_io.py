@@ -32,7 +32,14 @@ from gmml import (
 import gmml.io
 from gmml.io import _matrix_hash, _matrix_rows, format_report
 from gmml.learn import LearnedMetric, MetricProvenance, Standardizer
-from helpers import load_dataset_oracle, make_blobs, metric_rows_oracle, rand_spd, write_csv
+from helpers import (
+    _encode_labels_oracle,
+    load_dataset_oracle,
+    make_blobs,
+    metric_rows_oracle,
+    rand_spd,
+    write_csv,
+)
 
 
 def identity_metric(d=3):
@@ -149,6 +156,26 @@ def test_load_keeps_dense_integer_labels(tmp_path):
     assert data.labels.tolist() == [2, 0, 1]
 
 
+def test_load_folds_spellings_of_one_integer_label(tmp_path):
+    path = tmp_path / "spellings.csv"
+    path.write_text("1,1\n2,01\n3,0\n4,+1\n")
+    data = load_dataset(path)
+    assert data.labels.tolist() == [1, 1, 0, 1]
+    assert data.label_names == ["0", "1"]
+
+
+@pytest.mark.parametrize("tokens", [
+    ["1", "01", "0", "+1"], ["1", "01", "5"], ["2", "0", "1", "2"], ["1.0", "0.0", "1.0"],
+    ["b", "a b", "b"], ["0", "a", "1"], ["٣", "0", "1", "2"],
+])
+def test_encode_labels_matches_reference(tokens):
+    codes, names = gmml.io._encode_labels(tokens)
+    want_codes, want_names = _encode_labels_oracle(tokens)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == want_codes.tolist()
+    assert names == want_names
+
+
 def test_load_remaps_sparse_integer_labels(tmp_path):
     path = tmp_path / "sparse.csv"
     path.write_text("1,5\n2,7\n3,5\n")
@@ -226,7 +253,7 @@ def test_load_rejects_empty_feature(tmp_path):
     assert "non-numeric feature value ''" in str(info.value)
 
 
-_TOKENS = ["0", "-1.5", "2.25e-3", "1_000", "1e308", "-1e308", "1e309", "-0.0", ".5",
+_TOKENS = ["", "0", "-1.5", "2.25e-3", "1_000", "1e308", "-1e308", "1e309", "-0.0", ".5",
            "+7", "nan", "inf", "-Infinity", "abc", "1.2.3", "0x10", "1e", "٣",
            "#1", '"1"', "'1'", "１２", "4.9e-324", "2.2250738585072014e-308", "0x1p3", "1d5",
            "0." + "1234567890" * 40]
@@ -238,8 +265,8 @@ _LABELS = {"dense": ["0", "1", "2"], "sparse": ["5", "7", "-1"], "text": ["a", "
 def dataset_files(draw):
     """Delimited text files with or without faults, and a label column to read.
 
-    Fields are never empty and the file has no byte-order mark: there the
-    library loader deliberately differs from the oracle.
+    The file has no byte-order mark: there the library loader deliberately
+    differs from the oracle.
     """
     width = draw(st.sampled_from([1, 2, 2, 3, 3, 4, 5, 5]))
     comma = draw(st.booleans())
@@ -300,6 +327,10 @@ def _outcome(load, path, label_column):
 # U+001F is stripped like whitespace around a field, by both readers
 @example(("1\x1f,0\n2,1\n3,0\n4,1\n", -1))
 @example(("0,\x1f1\n1,2\n", 0))
+# a row one column short, one column long, and an empty label on the last row
+@example(("1,2,0\n3,4,1\n5,6\n7,8,1\n", -1))
+@example(("1,2,0\n3,4,5,1\n5,6,0\n", -1))
+@example(("1,2,0\n3,4,1\n5,6,\n", -1))
 def test_load_dataset_matches_token_oracle(tmp_path_factory, file):
     text, label_column = file
     path = tmp_path_factory.mktemp("oracle") / "data.csv"
@@ -308,18 +339,45 @@ def test_load_dataset_matches_token_oracle(tmp_path_factory, file):
     assert _outcome(load_dataset, path, label_column) == want
 
 
-def test_label_last_csv_skips_the_token_loop(tmp_path, monkeypatch):
-    data = make_blobs(np.random.default_rng(2), n_per_class=10)
-    path = tmp_path / "blobs.csv"
-    write_csv(path, data)
+@pytest.mark.parametrize("text,label_names", [
+    (None, ["0", "1"]),
+    ("1.5,2, a\n-3,4e-3,b \n0.25,7, a\n", ["a", "b"]),
+    # one feature: the record layout's float field is a width-1 subarray
+    ("1.5,1\n-2,0\n3,1\n", ["0", "1"]),
+], ids=["blobs", "padded-string-labels", "one-feature"])
+def test_label_last_csv_skips_the_token_loop(tmp_path, monkeypatch, text, label_names):
+    path = tmp_path / "data.csv"
+    if text is None:
+        data = make_blobs(np.random.default_rng(2), n_per_class=10)
+        write_csv(path, data)
+    else:
+        path.write_text(text)
+        data = load_dataset_oracle(path)
 
     def unreachable(*args):
         raise AssertionError("a well-formed label-last CSV reached the token loop")
 
     monkeypatch.setattr("gmml.io._read_token_by_token", unreachable)
     loaded = load_dataset(path)
+    assert loaded.points.flags.c_contiguous
+    assert loaded.points.shape == data.points.shape
     assert loaded.points.tobytes() == data.points.tobytes()
     assert loaded.labels.tolist() == data.labels.tolist()
+    assert loaded.label_names == label_names
+
+
+@pytest.mark.parametrize("text,error,line", [
+    ("1,2,0\n3,4,1\n5,6\n7,8,1\n", InconsistentWidth, 3),
+    ("1,2,0\n3,4,5,1\n5,6,0\n", InconsistentWidth, 2),
+    ("1,2,0\n3,4,1\n5,6,\n", ParseError, 3),
+], ids=["short-row", "long-row", "empty-last-label"])
+def test_numpy_parse_refuses_and_token_loop_names_the_line(tmp_path, text, error, line):
+    assert gmml.io._read_well_formed(text.splitlines(), -1) is None
+    path = tmp_path / "fault.csv"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        load_dataset(path)
+    assert info.value.line_number == line
 
 
 # ------------------------------------------------------------------ fingerprint
