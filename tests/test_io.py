@@ -339,21 +339,7 @@ def test_load_dataset_matches_token_oracle(tmp_path_factory, file):
     assert _outcome(load_dataset, path, label_column) == want
 
 
-@pytest.mark.parametrize("text,label_names", [
-    (None, ["0", "1"]),
-    ("1.5,2, a\n-3,4e-3,b \n0.25,7, a\n", ["a", "b"]),
-    # one feature: the record layout's float field is a width-1 subarray
-    ("1.5,1\n-2,0\n3,1\n", ["0", "1"]),
-], ids=["blobs", "padded-string-labels", "one-feature"])
-def test_label_last_csv_skips_the_token_loop(tmp_path, monkeypatch, text, label_names):
-    path = tmp_path / "data.csv"
-    if text is None:
-        data = make_blobs(np.random.default_rng(2), n_per_class=10)
-        write_csv(path, data)
-    else:
-        path.write_text(text)
-        data = load_dataset_oracle(path)
-
+def _assert_loads_without_token_loop(path, data, label_names, monkeypatch):
     def unreachable(*args):
         raise AssertionError("a well-formed label-last CSV reached the token loop")
 
@@ -364,6 +350,25 @@ def test_label_last_csv_skips_the_token_loop(tmp_path, monkeypatch, text, label_
     assert loaded.points.tobytes() == data.points.tobytes()
     assert loaded.labels.tolist() == data.labels.tolist()
     assert loaded.label_names == label_names
+
+
+def test_label_last_csv_skips_the_token_loop(tmp_path, monkeypatch):
+    data = make_blobs(np.random.default_rng(2), n_per_class=10)
+    path = tmp_path / "blobs.csv"
+    write_csv(path, data)
+    _assert_loads_without_token_loop(path, data, ["0", "1"], monkeypatch)
+
+
+@pytest.mark.parametrize("text,label_names", [
+    ("1.5,2, a\n-3,4e-3,b \n0.25,7, a\n", ["a", "b"]),
+    # one feature: the record layout's float field is a width-1 subarray
+    ("1.5,1\n-2,0\n3,1\n", ["0", "1"]),
+], ids=["padded-string-labels", "one-feature"])
+def test_label_last_csv_variants_skip_the_token_loop(tmp_path, monkeypatch, text, label_names):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    data = load_dataset_oracle(path)
+    _assert_loads_without_token_loop(path, data, label_names, monkeypatch)
 
 
 @pytest.mark.parametrize("text,error,line", [
