@@ -27,7 +27,7 @@ from .learn import (
     solve,
     solve_basis,
 )
-from .spd import _EPS, as_square, cholesky
+from .spd import _BLOCK_ELEMENTS, _EPS, as_square, cholesky
 
 DEFAULT_K = 5
 DEFAULT_COARSE_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -237,9 +237,6 @@ def _vote(dists: np.ndarray, labels: np.ndarray, k: int) -> int:
     return int(candidates[best[0]])
 
 
-# The classifier's one memory budget, in floats: a block holds about this many
-# query x train values over a chunk of the weights, whatever T and q.
-_BLOCK_ELEMENTS = 2**14
 # numpy's einsum sums a two-feature row in another order when it is given
 # fewer than three rows, so recomputing at least three candidates keeps every
 # recomputed distance bit-identical to the one _distances_to_all gives on all

@@ -69,7 +69,7 @@ def _matrix_hash(m: np.ndarray, *more: np.ndarray) -> str:
     h = hashlib.blake2b(digest_size=8)
     h.update(repr(m.shape).encode())
     for a in (m, *more):
-        h.update(np.ascontiguousarray(a).tobytes())
+        h.update(np.ascontiguousarray(a))
     return h.hexdigest()
 
 

@@ -254,17 +254,32 @@ def scatter_matrices(data, pairs: PairConstraints) -> ScatterMatrices:
     matrix sums (x_i - x_j)(x_i - x_j)^T over similar pairs, the
     dissimilarity matrix over dissimilar pairs; an empty pair set yields
     the zero matrix.
+
+    Memory: each pair set's differences go into one C-ordered (m, d)
+    buffer, filled in blocks of about ``spd._BLOCK_ELEMENTS`` values, and
+    one product ``diffs.T @ diffs`` sums it. Besides the points and the two
+    d x d results, the larger set's buffer and one block are held at once.
     """
     pts = np.asarray(getattr(data, "points", data), dtype=float)
     if pts.ndim != 2:
         raise DimensionMismatch(f"points must be 2-d, got shape {pts.shape}")
     pairs.validate_for(pts.shape[0])
     d = pts.shape[1]
+    rows = max(1, spd._BLOCK_ELEMENTS // max(d, 1))
 
     def accumulate(idx: np.ndarray) -> np.ndarray:
         if idx.shape[0] == 0:
             return np.zeros((d, d))
-        diffs = pts[idx[:, 0]] - pts[idx[:, 1]]
+        # one product over the whole buffer: summing per-block products
+        # would round S and D differently
+        diffs = np.empty((idx.shape[0], d))
+        for start in range(0, idx.shape[0], rows):
+            block, out = idx[start:start + rows], diffs[start:start + rows]
+            # PairConstraints and validate_for have checked the indices;
+            # "wrap" reads each as indexing does and, unlike the default
+            # mode, fills ``out`` without a buffer
+            np.take(pts, block[:, 0], axis=0, out=out, mode="wrap")
+            out -= pts[block[:, 1]]
         return diffs.T @ diffs
 
     return ScatterMatrices(
@@ -328,6 +343,7 @@ def _factor_pair(s_used: np.ndarray, d_used: np.ndarray, lam: float) -> Geodesic
                 if lam > 0 else "; rescale the features, for example with --standardize")
         raise NotPositiveDefinite(f"the whitened dissimilarity scatter overflows float64{hint}")
     w, v = spd.sym_eigen(whitened)
+    del whitened  # so the back substitution does not hold it too
     spd._require_whitened_pd(w, "dissimilarity scatter")
     return GeodesicBasis(p=spd._back_solve(low, v), w=w, s_trace=float(np.trace(s_used)))
 

@@ -24,6 +24,10 @@ from .exceptions import ConvergenceError, DimensionMismatch, NotPositiveDefinite
 # SPD_TOLERANCE times the max eigenvalue.
 SPD_TOLERANCE = 1e-12
 _EPS = np.finfo(float).eps
+# The package's one memory budget, in floats, for work done a block at a
+# time: the classifier's query x train blocks and the scatter's blocks of
+# pair differences each hold about this many values.
+_BLOCK_ELEMENTS = 2**14
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:

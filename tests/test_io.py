@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -417,6 +418,20 @@ def test_content_hashes_are_pinned():
     assert _matrix_hash(np.diag([1.0, 2.0, 3.0])) == "e70aa2124c0a4c1a"
     data = LabeledDataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 0]))
     assert fingerprint_dataset(data).content_hash == "9c29096d430785c1"
+
+
+_GRID = np.arange(24.0).reshape(4, 6)
+
+
+@pytest.mark.parametrize("a", [_GRID, np.asfortranarray(_GRID), _GRID[::2, 1::3],
+                               np.arange(12, dtype=np.int64).reshape(3, 4), np.empty((0, 3))],
+                         ids=["c-order", "fortran", "strided", "int64", "empty"])
+def test_matrix_hash_digests_the_c_ordered_bytes(a):
+    # the digest of the buffer is that of the bytes of its C-ordered copy
+    want = hashlib.blake2b(digest_size=8)
+    for chunk in (repr(a.shape).encode(), np.ascontiguousarray(a).tobytes(), a.T.tobytes()):
+        want.update(chunk)
+    assert _matrix_hash(a, a.T) == want.hexdigest()
 
 
 # ------------------------------------------------------------ metric round trip

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,7 @@ from gmml import (
     scatter_matrices,
     solve,
 )
+from gmml import spd
 from gmml.learn import solve_basis
 from gmml.spd import is_spd, riemannian_distance, spd_inverse, symmetrize
 from helpers import ahm_mean, rand_spd, solve_guard_oracle, solve_oracle
@@ -147,6 +149,59 @@ def test_scatter_accepts_dataset_argument():
     sc = scatter_matrices(data, pairs)
     u = data.points[0] - data.points[1]
     assert_allclose(sc.s_mat, symmetrize(np.outer(u, u)), atol=1e-12)
+
+
+# the rows of one block of pair differences at d = 64
+_ROWS = spd._BLOCK_ELEMENTS // 64
+
+
+def _traced_peak(f, *args) -> int:
+    """Bytes ``f(*args)`` holds at its peak above what was held when it
+    started, as tracemalloc counts them (numpy reports its buffers)."""
+    already = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not already:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("count", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
+@pytest.mark.parametrize("kind", ["c-order", "fortran", "integer", "dataset", "repeated"])
+def test_scatter_keeps_the_gather_then_subtract_bits(kind, count):
+    # the blocks fill the one buffer the whole-array difference gave, so the
+    # product, and every bit of S and D, is the same
+    rng = np.random.default_rng(count)
+    n = 40
+    raw = rng.integers(-50, 50, size=(n, 64)) if kind == "integer" else rng.standard_normal((n, 64))
+    first = rng.integers(n, size=count)
+    idx = np.column_stack((first, (first + rng.integers(1, n, size=count)) % n))
+    if kind == "repeated":
+        idx = np.tile(idx[:3], (-(-count // 3), 1))[:count]
+    pts = np.asarray(raw, dtype=float)
+    data = {"fortran": np.asfortranarray(pts), "integer": raw,
+            "dataset": LabeledDataset(pts, np.zeros(n, dtype=int))}.get(kind, pts)
+    sc = scatter_matrices(data, PairConstraints(sim_pairs=idx, dis_pairs=idx[::-1]))
+    for got, pairs in ((sc.s_mat, idx), (sc.d_mat, idx[::-1])):
+        diffs = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+        assert np.array_equal(got, symmetrize(diffs.T @ diffs))
+
+
+def test_scatter_holds_one_difference_buffer():
+    # one (m, d) buffer, the two d x d results and one block of differences,
+    # plus slack for index slices; gathering both ends of every pair before
+    # subtracting holds a second (m, d) array
+    rng = np.random.default_rng(5)
+    n, d, m = 300, 128, 2000
+    pts = rng.standard_normal((n, d))
+    first = rng.integers(n, size=(2, m))
+    sim, dis = (np.column_stack((f, (f + rng.integers(1, n, size=m)) % n)) for f in first)
+    peak = _traced_peak(scatter_matrices, pts, PairConstraints(sim_pairs=sim, dis_pairs=dis))
+    assert peak <= 8 * (m * d + 2 * d * d + spd._BLOCK_ELEMENTS) + 2**14
 
 
 # ------------------------------------------------------------------ objective
@@ -561,6 +616,15 @@ def test_solve_identity_prior_factors_once(monkeypatch):
     metric = solve(sc, GmmlConfig(lam=0.5))
     assert len(calls) == 1
     assert np.array_equal(metric.matrix, explicit)
+
+
+def test_solve_holds_four_d_by_d_arrays():
+    # L, V and the back substitution's result and its Fortran-ordered copy,
+    # plus slack for the O(d) vectors: the whitened L^T D L is released once
+    # eigh returns, and the midpoint's stack and residual need no more
+    d = 128
+    sc = random_sc(np.random.default_rng(24), d)
+    assert _traced_peak(solve, sc) <= 4 * 8 * d * d + 2**14
 
 
 def test_solve_basis_gives_the_metric_at_every_t():
