@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -806,6 +805,10 @@ def run_benchmark(
             )
 
     if n_jobs > 1:
+        # imported here so that a serial run loads neither
+        # concurrent.futures nor the logging it imports
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             records = list(pool.map(work, units))
     else:

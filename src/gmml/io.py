@@ -251,6 +251,9 @@ def save_metric(metric: LearnedMetric, path) -> None:
     The matrix rows are streamed to the file one at a time, and each
     distinct entry of the symmetric matrix is formatted once (see
     :func:`_matrix_rows`); the bytes are those of ``repr`` of every entry.
+    While it streams, the writer holds one row's text and the formatted
+    tokens still due left of the diagonal, as ASCII bytes: about d²/4
+    tokens at the middle row (1.5 MiB at d = 512).
     """
     prov = metric.provenance
     prior = metric.config.prior
@@ -277,27 +280,34 @@ def _matrix_rows(m: np.ndarray) -> Iterator[str]:
     """The lines of square ``m``, each ``" ".join(map(repr, row)) + "\\n"``.
 
     Row i takes its entries left of the diagonal from the tokens rows
-    0..i-1 made for column i, and formats only ``m[i, i:]``. A column's
-    tokens are released once its row is written, so at most about d²/4
-    tokens are held at a time. An entry whose bits differ from its
-    mirror's (for an SPD metric only a ±0.0 pair) is formatted on its own.
+    0..i-1 made for column i, and formats only ``m[i, i:]``, the only part
+    of the row converted to Python floats. Each column keeps its pending
+    tokens as ASCII bytes in one ``bytearray``, each token ended by a
+    newline, and releases it once its row is written; so the writer holds
+    about d²/4 tokens' bytes at its middle row (1.5 MiB at d = 512), d
+    bytearrays and one row's text, not d²/4 string objects. An entry whose
+    bits differ from its mirror's (for an SPD metric only a ±0.0 pair) is
+    formatted on its own.
     """
     d = m.shape[0]
     bits = m.view(np.int64)
     unmirrored: dict[int, list[int]] = {}
     for i, j in np.argwhere(np.tril(bits != bits.T, -1)).tolist():
         unmirrored.setdefault(i, []).append(j)
-    columns = [[] for _ in range(d)]
+    columns = [bytearray() for _ in range(d)]
     for i in range(d):
-        row = m[i].tolist()
-        tokens, columns[i] = columns[i], None
-        for j in unmirrored.get(i, ()):
-            tokens[j] = repr(row[j])
-        upper = list(map(repr, row[i:]))
-        tokens.extend(upper)
-        yield " ".join(tokens) + "\n"
-        for column, token in zip(columns[i + 1:], upper[1:]):
-            column.append(token)
+        upper = ("\n".join(map(repr, m[i, i:].tolist())) + "\n").encode()
+        line, columns[i] = columns[i], None
+        if i in unmirrored:
+            tokens = line.split()
+            for j in unmirrored[i]:
+                tokens[j] = repr(float(m[i, j])).encode()
+            line = bytearray(b"\n".join(tokens) + b"\n")
+        for column, token in zip(columns[i + 1:], upper.splitlines(True)[1:]):
+            column += token
+        line += upper
+        # every newline but the row's last separates two tokens
+        yield line.replace(b"\n", b" ", d - 1).decode()
 
 
 def load_metric(path) -> LearnedMetric:

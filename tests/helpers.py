@@ -4,12 +4,13 @@ inverse-then-geodesic route used to cross-check ``solve``, the
 eigvalsh-only guards used to cross-check the solver's certificates, the
 token-by-token dataset loader used to cross-check ``load_dataset``, the
 entry-by-entry row writer used to cross-check ``save_metric``, the
-per-candidate loop used to cross-check ``cross_validate_t``, and the
+per-candidate loop used to cross-check ``cross_validate_t``, the
 cursor deal and per-class cut used to cross-check ``stratified_folds`` and
-``holdout_split``."""
+``holdout_split``, and the tracemalloc peak that memory tests bound."""
 
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -139,6 +140,21 @@ def guards_uncertified():
 
     with mock.patch.object(spd, "_guard_certified", refuse):
         yield
+
+
+def _traced_peak(f, *args) -> int:
+    """Bytes ``f(*args)`` holds at its peak above what was held when it
+    started, as tracemalloc counts them (numpy reports its buffers)."""
+    already = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not already:
+            tracemalloc.stop()
 
 
 def make_blobs(

@@ -1054,3 +1054,29 @@ def test_gmml_runs_without_scipy(blobs_csv, tmp_path):
                            env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == str([0] * len(commands)), child.stderr
+
+
+SERIAL_IMPORTS_SCRIPT = """
+import json
+import sys
+from gmml.cli import main
+
+loaded = ["concurrent.futures" in sys.modules]
+try:
+    main(json.loads(sys.argv[1]), prog_name="gmml")
+except SystemExit as exc:
+    loaded.append(exc.code)
+loaded.append("concurrent.futures" in sys.modules)
+print(loaded)
+"""
+
+
+def test_a_serial_command_loads_no_thread_pool(blobs_csv):
+    # concurrent.futures, and the logging it imports, is loaded only for a
+    # benchmark with --jobs above 1
+    argv = ["benchmark", str(blobs_csv), "--runs", "1", "--folds", "2"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    child = subprocess.run([sys.executable, "-c", SERIAL_IMPORTS_SCRIPT, json.dumps(argv)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == str([False, 0, False]), child.stderr

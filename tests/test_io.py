@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+from collections import deque
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from gmml.io import _matrix_hash, _matrix_rows, format_report
 from gmml.learn import LearnedMetric, MetricProvenance, Standardizer
 from helpers import (
     _encode_labels_oracle,
+    _traced_peak,
     load_dataset_oracle,
     make_blobs,
     metric_rows_oracle,
@@ -549,11 +551,25 @@ HAND_BUILT_SPD = {
 }
 
 
+def wide_signed_zeros(d=320):
+    """An SPD matrix of dimension d whose column caches grow long, with
+    ±0.0 mirror pairs far from the diagonal and in the last column, -0.0
+    above the diagonal in some and below it in others."""
+    m = rand_spd(np.random.default_rng(11), d)
+    for i, j in ((0, 250), (40, d - 1), (d - 2, d - 1)):
+        m[i, j], m[j, i] = -0.0, 0.0
+    for i, j in ((3, 290), (1, d - 1)):
+        m[i, j], m[j, i] = 0.0, -0.0
+    return m
+
+
 @pytest.mark.parametrize(
     "metric",
     [solved_metric(d) for d in (1, 2, 3, 17, 64)]
-    + [matrix_metric(m) for m in HAND_BUILT_SPD.values()],
-    ids=[f"solve-d{d}" for d in (1, 2, 3, 17, 64)] + list(HAND_BUILT_SPD),
+    + [matrix_metric(m) for m in HAND_BUILT_SPD.values()]
+    + [matrix_metric(wide_signed_zeros())],
+    ids=[f"solve-d{d}" for d in (1, 2, 3, 17, 64)] + list(HAND_BUILT_SPD)
+    + ["signed-zeros-d320"],
 )
 def test_metric_matrix_section_is_repr_of_every_entry(tmp_path, metric):
     path = tmp_path / "m.gmml"
@@ -572,6 +588,21 @@ def test_matrix_rows_match_the_oracle_on_any_square_matrix(m):
     # few distinct values, so mirrors often agree bit for bit and sometimes not
     assert "".join(_matrix_rows(m)) == metric_rows_oracle(m)
     assert "".join(_matrix_rows(m.T)) == metric_rows_oracle(m.T)
+
+
+def test_matrix_rows_hold_the_pending_tokens_as_bytes():
+    # at its peak the writer holds the tokens still due left of the
+    # diagonal, one byte per character and one per terminator, not d²/4
+    # string objects; slack for each bytearray's growth (at most an eighth
+    # above its size) and 256 bytes per column for the bytearrays and one
+    # row's text, token list and decoded line
+    d = 512
+    m = solved_metric(d).matrix
+    sizes = np.array([[len(repr(x)) + 1 for x in row] for row in m.tolist()])
+    upper = np.triu(sizes, 1)
+    pending = max(upper[: i + 1, i + 1:].sum() for i in range(d))
+    peak = _traced_peak(deque, _matrix_rows(m), 0)
+    assert peak <= pending + pending // 8 + 256 * d
 
 
 def test_metric_truncated_file_never_partial(tmp_path):

@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -26,7 +25,7 @@ from gmml import (
 from gmml import spd
 from gmml.learn import solve_basis
 from gmml.spd import is_spd, riemannian_distance, spd_inverse, symmetrize
-from helpers import ahm_mean, rand_spd, solve_guard_oracle, solve_oracle
+from helpers import _traced_peak, ahm_mean, rand_spd, solve_guard_oracle, solve_oracle
 
 
 def rel_fro(x, y):
@@ -153,21 +152,6 @@ def test_scatter_accepts_dataset_argument():
 
 # the rows of one block of pair differences at d = 64
 _ROWS = spd._BLOCK_ELEMENTS // 64
-
-
-def _traced_peak(f, *args) -> int:
-    """Bytes ``f(*args)`` holds at its peak above what was held when it
-    started, as tracemalloc counts them (numpy reports its buffers)."""
-    already = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        f(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not already:
-            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("count", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5])
